@@ -15,9 +15,7 @@ from .core import (
     TwoSetInstance,
     check_feasible_semi_restricted,
     check_feasible_two_set,
-    max_ratio,
     parse_rational,
-    ratio,
 )
 from .oracle import (
     DEFAULT_SIZE_CAP,
@@ -29,15 +27,9 @@ from .oracle import (
     semi_restricted_optima_by_value,
 )
 from .semi_restricted import (
-    CandidateSets,
     DifferenceTable,
     DpCell,
-    SidePair,
     exact_solver,
-    prefer_larger_total,
-    prepare,
-    solve_difference_dp,
-    solve_heavy_singleton,
     solve_semi_restricted,
 )
 from .fptas import (
@@ -75,9 +67,7 @@ __all__ = [
     "TwoSetInstance",
     "check_feasible_semi_restricted",
     "check_feasible_two_set",
-    "max_ratio",
     "parse_rational",
-    "ratio",
     "DEFAULT_SIZE_CAP",
     "OracleResult",
     "brute_force_factor_r",
@@ -85,15 +75,9 @@ __all__ = [
     "brute_force_ssr",
     "brute_force_two_set",
     "semi_restricted_optima_by_value",
-    "CandidateSets",
     "DifferenceTable",
     "DpCell",
-    "SidePair",
     "exact_solver",
-    "prefer_larger_total",
-    "prepare",
-    "solve_difference_dp",
-    "solve_heavy_singleton",
     "solve_semi_restricted",
     "ApproxResult",
     "ExactSolver",

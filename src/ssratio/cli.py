@@ -23,13 +23,7 @@ import time
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .core import (
-    OpCounter,
-    RatioValue,
-    SolutionPair,
-    TwoSetInstance,
-    parse_rational,
-)
+from .core import SolutionPair, TwoSetInstance, parse_rational
 from . import oracle as oracle_mod
 from .fptas import fptas_solve
 from .reductions import decode, encode_factor_r_weights, encode_ssr_weights
@@ -128,8 +122,12 @@ def _encode(instance: dict[str, Any]) -> TwoSetInstance:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_str(value: RatioValue) -> str:
-    return str(value)
+def _ratio_decimal(ratio: Fraction) -> float | None:
+    """Display value of an exact ratio; None when it exceeds float range."""
+    try:
+        return float(ratio)
+    except OverflowError:
+        return None
 
 
 def _present_sets(instance: dict[str, Any], sol: SolutionPair) -> dict[str, Any]:
@@ -179,8 +177,8 @@ def build_solution_doc(
     doc.update(_present_sets(instance, sol))
     doc["sum1"] = str(sol.sum1)
     doc["sum2"] = str(sol.sum2)
-    doc["ratio"] = _ratio_str(value)
-    doc["ratio_decimal"] = float(value.as_fraction()) if value.is_finite else None
+    doc["ratio"] = str(value)
+    doc["ratio_decimal"] = _ratio_decimal(value.as_fraction()) if value.is_finite else None
     if mode == "fptas":
         assert epsilon is not None
         doc["epsilon"] = str(epsilon)
@@ -225,15 +223,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     eps = _parse_epsilon(args.epsilon)
     encoded = _encode(instance)
-    counter = OpCounter()
     started = time.perf_counter()
-    result = fptas_solve(
-        encoded,
-        eps,
-        parallel=args.parallel,
-        collect_log=args.trace,
-        counter=counter,
-    )
+    try:
+        result = fptas_solve(encoded, eps, collect_log=args.trace)
+    except ValueError as exc:
+        raise CliError(f"cannot solve at epsilon {eps}: {exc}") from exc
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     stats: dict[str, Any] = {
         "pivots_evaluated": result.pivots_evaluated,
@@ -251,12 +245,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             }
             for entry in result.per_pivot_log
         ]
-    status = "approximate" if result.feasible else "infeasible"
     doc = build_solution_doc(
         instance,
         result.solution,
         "fptas",
-        status,
+        result.status,
         epsilon=eps,
         pivot_used=result.pivot_used,
         stats=stats,
@@ -328,9 +321,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if n <= args.oracle_cap:
                 optimum = oracle_mod.brute_force_two_set(inst, max_n=args.oracle_cap).optimum
             for eps in epsilons:
-                counter = OpCounter()
                 started = time.perf_counter()
-                result = fptas_solve(inst, eps, counter=counter)
+                result = fptas_solve(inst, eps)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 ratio_to_opt = ""
                 opt_str = ""
@@ -361,10 +353,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_fail(problems: list[str], message: str) -> None:
-    problems.append(message)
-
-
 def _weight_lookup(instance: dict[str, Any]):
     problem = instance["problem"]
     if problem == "two-set":
@@ -389,54 +377,54 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     """All inconsistencies between a solution file and its instance."""
     problems: list[str] = []
     if doc.get("format") != FORMAT_VERSION:
-        _check_fail(problems, f"solution format must be {FORMAT_VERSION}")
+        problems.append(f"solution format must be {FORMAT_VERSION}")
         return problems
     problem = instance["problem"]
     if doc.get("problem") != problem:
-        _check_fail(problems, "solution problem kind does not match the instance")
+        problems.append("solution problem kind does not match the instance")
         return problems
     mode = doc.get("mode")
     if mode not in ("fptas", "oracle"):
-        _check_fail(problems, "mode must be fptas or oracle")
+        problems.append("mode must be fptas or oracle")
         return problems
     status = doc.get("status")
     allowed = ("approximate", "infeasible") if mode == "fptas" else ("optimal", "infeasible")
     if status not in allowed:
-        _check_fail(problems, f"status {status!r} not allowed for mode {mode}")
+        problems.append(f"status {status!r} not allowed for mode {mode}")
         return problems
 
     n, lookup = _weight_lookup(instance)
     s1 = doc.get("s1")
     s2 = doc.get("s2")
     if not isinstance(s1, list) or not isinstance(s2, list):
-        _check_fail(problems, "s1/s2 must be index lists")
+        problems.append("s1/s2 must be index lists")
         return problems
     if status == "infeasible":
         if s1 or s2:
-            _check_fail(problems, "infeasible solutions must have empty sets")
+            problems.append("infeasible solutions must have empty sets")
         if doc.get("ratio") != "inf":
-            _check_fail(problems, "infeasible solutions must state ratio inf")
+            problems.append("infeasible solutions must state ratio inf")
         return problems
     if not s1 or not s2:
-        _check_fail(problems, "feasible solutions need both sets nonempty")
+        problems.append("feasible solutions need both sets nonempty")
         return problems
     if any(not isinstance(i, int) or not 1 <= i <= n for i in s1 + s2):
-        _check_fail(problems, f"indices must be integers in 1..{n}")
+        problems.append(f"indices must be integers in 1..{n}")
         return problems
     if set(s1) & set(s2):
-        _check_fail(problems, "sets must be disjoint")
+        problems.append("sets must be disjoint")
 
     # side roles per problem kind
     if problem == "two-set":
         sides = doc.get("s1_side"), doc.get("s2_side")
         if set(sides) != {"a", "b"}:
-            _check_fail(problems, "two-set solutions need side labels a and b")
+            problems.append("two-set solutions need side labels a and b")
             return problems
         role1, role2 = sides
     elif problem == "factor-r":
         rmul = doc.get("r_multiplied")
         if rmul not in ("s1", "s2"):
-            _check_fail(problems, "factor-r solutions must label the r-multiplied set")
+            problems.append("factor-r solutions must label the r-multiplied set")
             return problems
         role1 = "r" if rmul == "s1" else "plain"
         role2 = "r" if rmul == "s2" else "plain"
@@ -448,20 +436,20 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     stated1 = parse_rational(doc.get("sum1", "0"))
     stated2 = parse_rational(doc.get("sum2", "0"))
     if (sum1, sum2) != (stated1, stated2):
-        _check_fail(problems, f"stated sums {stated1}/{stated2} differ from recomputed {sum1}/{sum2}")
+        problems.append(f"stated sums {stated1}/{stated2} differ from recomputed {sum1}/{sum2}")
     recomputed = max(sum1, sum2) / min(sum1, sum2)
     if parse_rational(doc.get("ratio", "0")) != recomputed:
-        _check_fail(problems, f"stated ratio {doc.get('ratio')} differs from recomputed {recomputed}")
-    if doc.get("ratio_decimal") != float(recomputed):
-        _check_fail(problems, "ratio_decimal does not match the exact ratio")
+        problems.append(f"stated ratio {doc.get('ratio')} differs from recomputed {recomputed}")
+    if doc.get("ratio_decimal") != _ratio_decimal(recomputed):
+        problems.append("ratio_decimal does not match the exact ratio")
     if mode == "fptas":
         try:
             eps = _parse_epsilon(str(doc.get("epsilon")))
         except CliError:
-            _check_fail(problems, "fptas solutions need a valid epsilon")
+            problems.append("fptas solutions need a valid epsilon")
             return problems
         if parse_rational(doc.get("bound", "0")) != 1 + eps:
-            _check_fail(problems, "bound must equal 1 + epsilon")
+            problems.append("bound must equal 1 + epsilon")
     return problems
 
 
@@ -502,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--epsilon", required=True, help="accuracy in (0,1), e.g. 0.25 or 1/4")
     p_solve.add_argument("--output", default=None, help="solution JSON path (default: stdout)")
     p_solve.add_argument("--trace", action="store_true", help="include the per-pivot log")
-    p_solve.add_argument("--parallel", action="store_true", help="evaluate pivots concurrently")
     p_solve.add_argument("--timings", action="store_true", help="include wall-clock stats")
     p_solve.set_defaults(func=cmd_solve)
 

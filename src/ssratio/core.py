@@ -15,7 +15,6 @@ sum to the smaller one.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -31,8 +30,6 @@ __all__ = [
     "SolutionPair",
     "IntegerInstance",
     "OpCounter",
-    "ratio",
-    "max_ratio",
     "check_feasible_two_set",
     "check_feasible_semi_restricted",
 ]
@@ -64,14 +61,13 @@ def parse_rational(value: RationalLike) -> Fraction:
 @functools.total_ordering
 @dataclass(frozen=True)
 class RatioValue:
-    """Extended nonnegative ratio: 0, a positive rational, or +infinity.
+    """Extended ratio: a positive rational or +infinity.
 
-    The three kinds are totally ordered (0 < every finite value < +inf),
-    which lets solver loops compare candidate objectives without sentinel
+    The two kinds are totally ordered (every finite value < +inf), which
+    lets solver loops compare candidate objectives without sentinel
     numbers.
     """
 
-    _KIND_ZERO = 0
     _KIND_FINITE = 1
     _KIND_INFINITE = 2
 
@@ -79,17 +75,13 @@ class RatioValue:
     value: Fraction | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (0, 1, 2):
+        if self.kind not in (1, 2):
             raise ValueError(f"bad RatioValue kind: {self.kind}")
         if self.kind == self._KIND_FINITE:
             if self.value is None or self.value <= 0:
                 raise ValueError("finite ratio must be a positive rational")
         elif self.value is not None:
-            raise ValueError("zero/infinite ratio carries no value")
-
-    @classmethod
-    def zero(cls) -> "RatioValue":
-        return cls(cls._KIND_ZERO)
+            raise ValueError("infinite ratio carries no value")
 
     @classmethod
     def finite(cls, value: RationalLike) -> "RatioValue":
@@ -100,20 +92,10 @@ class RatioValue:
         return cls(cls._KIND_INFINITE)
 
     @property
-    def is_zero(self) -> bool:
-        return self.kind == self._KIND_ZERO
-
-    @property
     def is_finite(self) -> bool:
         return self.kind == self._KIND_FINITE
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind == self._KIND_INFINITE
-
     def as_fraction(self) -> Fraction:
-        if self.kind == self._KIND_ZERO:
-            return Fraction(0)
         if self.kind == self._KIND_FINITE:
             assert self.value is not None
             return self.value
@@ -130,8 +112,6 @@ class RatioValue:
         return False
 
     def __str__(self) -> str:
-        if self.kind == self._KIND_ZERO:
-            return "0"
         if self.kind == self._KIND_INFINITE:
             return "inf"
         return str(self.value)
@@ -147,42 +127,6 @@ def _set_sum(indices: Iterable[int], weights: Sequence[Fraction]) -> Fraction:
     for i in indices:
         total += weights[i - 1]
     return total
-
-
-def ratio(s1: Iterable[int], s2: Iterable[int], weights: Sequence[RationalLike]) -> RatioValue:
-    """Ordered sum ratio of two index sets over a 1-indexed weight list.
-
-    Returns 0 when the first set is empty and the second is not, the exact
-    quotient of the two sums when the second set is nonempty, and +inf
-    otherwise (this includes the case of two empty sets).
-    """
-    w = [parse_rational(v) for v in weights]
-    a = frozenset(s1)
-    b = frozenset(s2)
-    for i in a | b:
-        _check_index(i, len(w))
-    if not a and b:
-        return RatioValue.zero()
-    if b:
-        return RatioValue.finite(_set_sum(a, w) / _set_sum(b, w))
-    return RatioValue.infinite()
-
-
-def max_ratio(sets: Sequence[Iterable[int]], weights: Sequence[RationalLike]) -> RatioValue:
-    """Largest ordered pairwise sum ratio among k >= 2 index sets."""
-    if len(sets) < 2:
-        raise ValueError("max_ratio needs at least two sets")
-    frozen = [frozenset(s) for s in sets]
-    best: RatioValue | None = None
-    for i, si in enumerate(frozen):
-        for j, sj in enumerate(frozen):
-            if i == j:
-                continue
-            r = ratio(si, sj, weights)
-            if best is None or best < r:
-                best = r
-    assert best is not None
-    return best
 
 
 @dataclass(frozen=True)
@@ -227,25 +171,6 @@ class TwoSetInstance:
     def weight(self, i: int) -> Fraction:
         _check_index(i, 2 * self.n)
         return self.weights[i - 1]
-
-    def pair(self, i: int) -> tuple[Fraction, Fraction]:
-        _check_index(i, self.n)
-        return self.weights[i - 1], self.weights[self.n + i - 1]
-
-    def base(self, i: int) -> int:
-        """Pair index (1..n) of a flattened index (1..2n)."""
-        _check_index(i, 2 * self.n)
-        return i if i <= self.n else i - self.n
-
-    def mate(self, i: int) -> int:
-        """The other element of i's pair."""
-        _check_index(i, 2 * self.n)
-        return i + self.n if i <= self.n else i - self.n
-
-    def side(self, i: int) -> int:
-        """1 for first-side indices, 2 for second-side indices."""
-        _check_index(i, 2 * self.n)
-        return 1 if i <= self.n else 2
 
 
 @dataclass(frozen=True)
@@ -370,18 +295,12 @@ class IntegerInstance:
 
 
 class OpCounter:
-    """Mutable accumulator for instrumented cell-operation counts.
+    """Mutable accumulator for instrumented cell-operation counts."""
 
-    Thread-safe: solvers may be invoked concurrently against one counter
-    (the parallel pivot loop does), and counts must stay deterministic.
-    """
-
-    __slots__ = ("cells", "_lock")
+    __slots__ = ("cells",)
 
     def __init__(self) -> None:
         self.cells = 0
-        self._lock = threading.Lock()
 
     def add(self, amount: int) -> None:
-        with self._lock:
-            self.cells += amount
+        self.cells += amount

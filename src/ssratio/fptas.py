@@ -10,9 +10,10 @@ solution exists; the bound is certified in exact rationals.
 The exact solver is any callable taking (integer weight list, pivot index)
 and returning two index frozensets (both empty meaning infeasible) that
 are feasible and ratio-optimal for the pivoted problem on its input.  The
-built-in default is ssratio.semi_restricted.exact_solver; pivots sharing
+built-in default is ssratio.semi_restricted.exact_solver.  Pivots sharing
 the same weight value and side produce identical scaled subproblems, so
-the driver deduplicates those calls when using the default.
+the driver calls the solver once per distinct (value, side), at the first
+pivot with that key.
 """
 
 from __future__ import annotations
@@ -136,8 +137,6 @@ def fptas_solve(
     epsilon: RationalLike,
     exact: ExactSolver | None = None,
     *,
-    parallel: bool = False,
-    max_workers: int | None = None,
     collect_log: bool = False,
     validate: bool = False,
     counter: OpCounter | None = None,
@@ -146,9 +145,9 @@ def fptas_solve(
 
     Iterates pivots m = 1..2n in ascending order, keeps the strictly best
     original-weight value (first pivot wins ties), and reports infeasible
-    only when every pivot does.  Deterministic; `parallel` solves the
-    per-pivot subproblems concurrently but assembles results in the same
-    order, so the output is identical either way.
+    only when every pivot does.  `exact` replaces the built-in pivoted
+    solver; the built-in one adds its cell operations to `counter`.
+    Deterministic.
     """
     eps = parse_rational(epsilon)
     if not 0 < eps < 1:
@@ -158,50 +157,17 @@ def fptas_solve(
     ops = counter if counter is not None else OpCounter()
     ops_start = ops.cells
 
-    contexts = [scale_instance(weights, m, eps) for m in range(1, count + 1)]
-
-    if exact is None:
-        # Pivots with equal weight and side yield identical subproblems:
-        # solve each distinct one once.
-        key_of = lambda m: (weights[m - 1], 1 if m <= inst.n else 2)  # noqa: E731
-        order: list[tuple[Fraction, int]] = []
-        first_pivot: dict[tuple[Fraction, int], int] = {}
-        for m in range(1, count + 1):
-            key = key_of(m)
-            if key not in first_pivot:
-                first_pivot[key] = m
-                order.append(key)
-
-        def run_key(key):
-            m = first_pivot[key]
-            return exact_solver(contexts[m - 1].scaled, m, ops)
-
-        if parallel:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                solved = dict(zip(order, pool.map(run_key, order)))
-        else:
-            solved = {key: run_key(key) for key in order}
-        per_pivot = [solved[key_of(m)] for m in range(1, count + 1)]
-    else:
-        if parallel:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                per_pivot = list(
-                    pool.map(lambda m: exact(contexts[m - 1].scaled, m), range(1, count + 1))
-                )
-        else:
-            per_pivot = [exact(contexts[m - 1].scaled, m) for m in range(1, count + 1)]
-
     best_pair = SolutionPair.empty()
     best_value = RatioValue.infinite()
     pivot_used: int | None = None
     log: list[PivotLog] = []
+    solved: dict[tuple[Fraction, bool], tuple[frozenset[int], frozenset[int]]] = {}
     for m in range(1, count + 1):
-        s1, s2 = per_pivot[m - 1]
-        ctx = contexts[m - 1]
+        ctx = scale_instance(weights, m, eps)
+        key = (weights[m - 1], m <= inst.n)
+        if key not in solved:
+            solved[key] = exact_solver(ctx.scaled, m, ops) if exact is None else exact(ctx.scaled, m)
+        s1, s2 = solved[key]
         if s1 and s2:
             pair = SolutionPair.from_sets(weights, s1, s2)
             value = pair.value()

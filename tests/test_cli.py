@@ -115,6 +115,17 @@ class TestInputErrors:
         code, _, _ = run(capsys, "solve")
         assert code == 1
 
+    def test_tiny_epsilon_exits_cleanly(self, tmp_path, capsys):
+        # the scaled pivot weight outgrows the DP table's dtype
+        path = write_instance(
+            tmp_path, "three.json",
+            {"format": 1, "problem": "two-set", "pairs": [[1, 2], [3, 4], [5, 6]]},
+        )
+        code, out, err = run(capsys, "solve", path, "--epsilon", "0.00000001")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestOracle:
     def test_optimal(self, worked_two_set, capsys):
@@ -172,6 +183,27 @@ class TestCheck:
         code, _, _ = run(capsys, "check", worked_two_set, sol)
         assert code == 1
 
+    def test_ratio_beyond_float_range_round_trips(self, tmp_path, capsys):
+        inst = write_instance(
+            tmp_path, "huge.json", {"format": 1, "problem": "ssr", "weights": ["1e400", 1]}
+        )
+        sol = str(tmp_path / "huge.sol")
+        code, _, _ = run(capsys, "solve", inst, "--epsilon", "0.5", "--output", sol)
+        assert code == 0
+        doc = json.loads(open(sol).read())
+        assert doc["ratio"] == "1" + "0" * 400 and doc["ratio_decimal"] is None
+        code, out, _ = run(capsys, "check", inst, sol)
+        assert code == 0 and out.strip() == "OK"
+
+    def test_null_ratio_decimal_needs_overflow(self, worked_two_set, tmp_path, capsys):
+        sol = str(tmp_path / "sol.json")
+        run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--output", sol)
+        doc = json.loads(open(sol).read())
+        doc["ratio_decimal"] = None
+        open(sol, "w").write(json.dumps(doc))
+        code, _, err = run(capsys, "check", worked_two_set, sol)
+        assert code == 1 and "ratio_decimal" in err
+
     def test_garbage_fields_fail_cleanly(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")
         run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--output", sol)
@@ -184,16 +216,16 @@ class TestCheck:
 
 
 class TestDeterminism:
-    def test_identical_bytes_across_runs_and_parallel(self, tmp_path, capsys):
+    def test_identical_bytes_across_runs(self, tmp_path, capsys):
         inst = write_instance(
             tmp_path, "det.json",
             {"format": 1, "problem": "two-set",
              "pairs": [[7, 9], [3, 14], [11, 2], [5, 5]]},
         )
         outputs = []
-        for flag in ([], [], ["--parallel"]):
-            out_path = tmp_path / f"out{len(outputs)}.json"
-            code = main(["solve", inst, "--epsilon", "0.3", "--output", str(out_path), *flag])
+        for run_index in range(3):
+            out_path = tmp_path / f"out{run_index}.json"
+            code = main(["solve", inst, "--epsilon", "0.3", "--output", str(out_path)])
             assert code == 0
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ssratio import (
     IntegerInstance,
@@ -14,9 +14,7 @@ from ssratio import (
     TwoSetInstance,
     check_feasible_semi_restricted,
     check_feasible_two_set,
-    max_ratio,
     parse_rational,
-    ratio,
 )
 
 
@@ -36,16 +34,14 @@ class TestParseRational:
 
 class TestRatioValue:
     def test_total_order(self):
-        zero = RatioValue.zero()
         one = RatioValue.finite(1)
         two = RatioValue.finite(2)
         inf = RatioValue.infinite()
-        assert zero < one < two < inf
-        assert not inf < inf and not zero < zero
-        assert sorted([inf, two, zero, one]) == [zero, one, two, inf]
+        assert one < two < inf
+        assert not inf < inf and not one < one
+        assert sorted([inf, two, one]) == [one, two, inf]
 
     def test_str_and_fraction(self):
-        assert str(RatioValue.zero()) == "0"
         assert str(RatioValue.finite(Fraction(6, 5))) == "6/5"
         assert str(RatioValue.infinite()) == "inf"
         assert RatioValue.finite("4/2").as_fraction() == 2
@@ -60,39 +56,37 @@ class TestRatioValue:
 
 
 class TestRatio:
+    """The objective of a pair, as SolutionPair.value() computes it."""
+
     def test_empty_first(self):
-        assert ratio(set(), {2}, [3, 5]) == RatioValue.zero()
+        with pytest.raises(ValueError):
+            SolutionPair.from_sets([3, 5], set(), {2})
 
     def test_empty_second(self):
-        assert ratio({1}, set(), [3, 5]) == RatioValue.infinite()
+        with pytest.raises(ValueError):
+            SolutionPair.from_sets([3, 5], {1}, set())
 
     def test_both_empty(self):
-        assert ratio(set(), set(), [3, 5]) == RatioValue.infinite()
+        assert SolutionPair.from_sets([3, 5], set(), set()).value() == RatioValue.infinite()
 
     def test_plain(self):
-        assert ratio({1}, {2}, [6, 3]) == RatioValue.finite(2)
+        assert SolutionPair.from_sets([6, 3], {1}, {2}).value() == RatioValue.finite(2)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            ratio({3}, {1}, [6, 3])
+            SolutionPair.from_sets([6, 3], {3}, {1})
 
 
 class TestMaxRatio:
     def test_equal_sums(self):
-        assert max_ratio([{1}, {2}], [3, 3]) == RatioValue.finite(1)
+        assert SolutionPair.from_sets([3, 3], {1}, {2}).value() == RatioValue.finite(1)
 
     def test_takes_larger_direction(self):
-        assert max_ratio([{1}, {2}], [6, 3]) == RatioValue.finite(2)
+        for s1, s2 in (({1}, {2}), ({2}, {1})):
+            assert SolutionPair.from_sets([6, 3], s1, s2).value() == RatioValue.finite(2)
 
     def test_two_empty_sets(self):
-        assert max_ratio([set(), set()], [1]) == RatioValue.infinite()
-
-    def test_needs_two_sets(self):
-        with pytest.raises(ValueError):
-            max_ratio([{1}], [1])
-
-    def test_three_sets(self):
-        assert max_ratio([{1}, {2}, {3}], [2, 4, 8]) == RatioValue.finite(4)
+        assert SolutionPair.empty().value() == RatioValue.infinite()
 
 
 class TestFeasibility:
@@ -132,9 +126,7 @@ class TestInstances:
         inst = TwoSetInstance.from_pairs([(5, 4), (3, 6)])
         assert inst.n == 2
         assert inst.weights == (5, 3, 4, 6)
-        assert inst.pair(2) == (3, 6)
-        assert inst.base(4) == 2 and inst.mate(1) == 3
-        assert inst.side(1) == 1 and inst.side(3) == 2
+        assert inst.weight(2) == 3 and inst.weight(4) == 6
 
     def test_two_set_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -175,40 +167,35 @@ weights_strategy = st.lists(
 
 
 @st.composite
-def weights_and_sets(draw, k=2, allow_empty=True):
+def weights_and_disjoint_sets(draw):
+    """Weights plus two disjoint index sets, both empty or both nonempty."""
     w = draw(weights_strategy)
-    indices = st.sets(st.integers(1, len(w)), min_size=0 if allow_empty else 1, max_size=len(w))
-    return w, [draw(indices) for _ in range(k)]
+    roles = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(w), max_size=len(w)))
+    s1 = {i for i, role in enumerate(roles, 1) if role == 1}
+    s2 = {i for i, role in enumerate(roles, 1) if role == 2}
+    if not s1 or not s2:
+        s1 = s2 = set()
+    return w, (s1, s2)
 
 
-@given(weights_and_sets(k=3))
+@given(weights_and_disjoint_sets())
 def test_max_ratio_permutation_invariant(data):
-    w, sets = data
-    rotated = sets[1:] + sets[:1]
-    assert max_ratio(sets, w) == max_ratio(rotated, w)
-    assert max_ratio(list(reversed(sets)), w) == max_ratio(sets, w)
-
-
-@given(weights_and_sets(k=3, allow_empty=False))
-def test_max_ratio_at_least_one_for_nonempty(data):
-    w, sets = data
-    assert RatioValue.finite(1) <= max_ratio(sets, w)
-
-
-@given(weights_and_sets(k=2, allow_empty=False))
-def test_ratio_reciprocal_product(data):
     w, (s1, s2) = data
-    forward = ratio(s1, s2, w).as_fraction()
-    backward = ratio(s2, s1, w).as_fraction()
-    assert forward * backward == 1
+    assert SolutionPair.from_sets(w, s1, s2).value() == SolutionPair.from_sets(w, s2, s1).value()
+
+
+@given(weights_and_disjoint_sets())
+def test_max_ratio_at_least_one_for_nonempty(data):
+    w, (s1, s2) = data
+    assume(s1)
+    assert RatioValue.finite(1) <= SolutionPair.from_sets(w, s1, s2).value()
 
 
 @given(
-    weights_and_sets(k=2),
+    weights_and_disjoint_sets(),
     st.fractions(min_value=Fraction(1, 5), max_value=9, max_denominator=5),
 )
 def test_scaling_leaves_ratios_unchanged(data, c):
     w, (s1, s2) = data
     scaled = [c * v for v in w]
-    assert ratio(s1, s2, w) == ratio(s1, s2, scaled)
-    assert max_ratio([s1, s2], w) == max_ratio([s1, s2], scaled)
+    assert SolutionPair.from_sets(w, s1, s2).value() == SolutionPair.from_sets(scaled, s1, s2).value()

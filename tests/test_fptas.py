@@ -114,7 +114,10 @@ class TestDriver:
 
     def test_custom_exact_solver_interface(self):
         # a tiny independent exact solver plugged through the interface
+        calls = []
+
         def tiny_exact(weights, m):
+            calls.append(m)
             n = len(weights) // 2
             pivot = weights[m - 1]
             best = None
@@ -139,11 +142,17 @@ class TestDriver:
             pairs = random_pairs(rng, rng.randint(1, 3), 12)
             inst = TwoSetInstance.from_pairs(pairs)
             eps = Fraction(rng.randint(1, 9), 10)
+            calls.clear()
             via_custom = fptas_solve(inst, eps, exact=tiny_exact)
             via_default = fptas_solve(inst, eps)
             assert via_custom.value == via_default.value
+            # one call per distinct (pivot value, side), at its first pivot
+            first = {}
+            for m in range(1, 2 * inst.n + 1):
+                first.setdefault((inst.weight(m), m <= inst.n), m)
+            assert calls == list(first.values())
 
-    def test_determinism_and_parallel_equivalence(self):
+    def test_determinism(self):
         rng = random.Random(29)
         for _ in range(10):
             pairs = random_pairs(rng, rng.randint(1, 5), 30)
@@ -151,8 +160,7 @@ class TestDriver:
             eps = Fraction(rng.randint(1, 9), 10)
             a = fptas_solve(inst, eps, collect_log=True)
             b = fptas_solve(inst, eps, collect_log=True)
-            c = fptas_solve(inst, eps, collect_log=True, parallel=True)
-            assert a == b == c
+            assert a == b
 
     def test_counter_accumulates(self):
         inst = TwoSetInstance.from_pairs([(5, 4), (3, 6)])

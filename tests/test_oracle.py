@@ -17,7 +17,6 @@ from ssratio import (
     brute_force_two_set,
     check_feasible_semi_restricted,
     check_feasible_two_set,
-    max_ratio,
     scale_instance,
     semi_restricted_optima_by_value,
 )
@@ -94,7 +93,7 @@ class TestStructuralProperties:
                     assert res.optimum == RatioValue.infinite()
                     continue
                 # optimum matches the pair, and the pair is feasible at both levels
-                assert res.optimum == max_ratio([res.best.s1, res.best.s2], instance.weights)
+                assert res.optimum == res.best.value()
                 assert check_feasible_semi_restricted(res.best, instance, m)
                 assert check_feasible_two_set(res.best, instance.n)
 

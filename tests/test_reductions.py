@@ -19,7 +19,6 @@ from ssratio import (
     decode,
     encode_factor_r,
     encode_ssr,
-    max_ratio,
 )
 
 
@@ -122,7 +121,7 @@ class TestEquivalence:
             if res.best is None:
                 continue
             dec = decode(res.best, "factor-r", len(weights))
-            assert dec.objective == max_ratio([res.best.s1, res.best.s2], enc.weights)
+            assert dec.objective == res.best.value()
             assert not dec.s1 & dec.s2
 
 

@@ -9,22 +9,19 @@ from itertools import product
 import pytest
 
 from ssratio import (
-    CandidateSets,
     DifferenceTable,
     IntegerInstance,
     OpCounter,
     RatioValue,
+    SolutionPair,
     TwoSetInstance,
     brute_force_semi_restricted,
     check_feasible_semi_restricted,
     exact_solver,
-    prefer_larger_total,
-    prepare,
     semi_restricted_optima_by_value,
-    solve_difference_dp,
-    solve_heavy_singleton,
     solve_semi_restricted,
 )
+from ssratio.semi_restricted import _heavy_singleton, _side_view
 from conftest import random_pairs
 
 
@@ -32,94 +29,62 @@ def integer(pairs, m):
     return IntegerInstance.from_pairs(pairs, m)
 
 
-class TestPreferLargerTotal:
-    def test_empty_incumbent_is_replaced(self):
-        empty = (frozenset(), frozenset(), 0)
-        cand = (frozenset({1}), frozenset(), 7)
-        assert prefer_larger_total(empty, cand) == cand
-
-    def test_larger_total_wins(self):
-        v1 = (frozenset({1}), frozenset({3}), 5)
-        v2 = (frozenset({2}), frozenset({4}), 7)
-        assert prefer_larger_total(v1, v2) == v2
-
-    def test_tie_keeps_incumbent(self):
-        v1 = (frozenset({1}), frozenset({3}), 5)
-        v2 = (frozenset({2}), frozenset({4}), 5)
-        assert prefer_larger_total(v1, v2) == v1
+def flat(pairs):
+    return tuple(a for a, _ in pairs) + tuple(b for _, b in pairs)
 
 
-class TestPrepare:
-    def test_heavy_instance(self):
-        sides, cand = prepare(integer([(2, 100), (2, 1)], 1))
-        assert (sides.near, sides.far) == (0, 2)
-        assert cand.small_bases == frozenset({2})
-        assert cand.heavy_bases == frozenset({1})
-        assert cand.cap == 4
+def heavy_singleton(pairs, m):
+    """The singleton regime alone, on the pivot's side."""
+    weights, n = flat(pairs), len(pairs)
+    near = 0 if m <= n else n
+    found = _heavy_singleton(weights, _side_view(weights, n, near, weights[m - 1]))
+    return SolutionPair.from_sets(weights, *found) if found else SolutionPair.empty()
 
-    def test_pivot_on_second_side(self):
-        sides, cand = prepare(integer([(5, 4), (3, 6)], 4))
-        assert (sides.near, sides.far) == (2, 0)
-        assert cand.small_bases == frozenset({1})
-        assert cand.heavy_bases == frozenset()
-        assert cand.cap == 10
 
-    def test_first_side_pivot_offsets(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            n = rng.randint(1, 6)
-            pairs = random_pairs(rng, n, 9)
-            m = rng.randint(1, n)
-            sides, _ = prepare(integer(pairs, m))
-            assert (sides.near, sides.far) == (0, n)
+def difference_dp(pairs, m):
+    """The difference DP alone, on the pivot's side."""
+    weights, n = flat(pairs), len(pairs)
+    near = 0 if m <= n else n
+    table = DifferenceTable(weights, n, near, weights[m - 1])
+    best = table.best_cell()
+    if best is None:
+        return SolutionPair.empty()
+    return SolutionPair.from_sets(weights, *table.reconstruct(best[0]))
 
 
 class TestHeavySingleton:
     def test_dominant_far_element(self):
-        ii = integer([(2, 100), (2, 1)], 1)
-        sol = solve_heavy_singleton(ii, *prepare(ii))
+        sol = heavy_singleton([(2, 100), (2, 1)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([2], [3])
         assert sol.value() == RatioValue.finite(50)
 
     def test_no_candidate_above_cap(self):
-        ii = integer([(5, 4), (3, 6)], 1)
-        sol = solve_heavy_singleton(ii, *prepare(ii))
+        sol = heavy_singleton([(5, 4), (3, 6)], 1)
         assert sol.is_empty
 
     def test_scanned_base_outside_candidates_keeps_full_cap(self):
         # base 2's near weight 9 exceeds the pivot weight, so removing its
         # far element costs nothing: denominator is the full cap
-        ii = integer([(5, 4), (9, 100)], 1)
-        sol = solve_heavy_singleton(ii, *prepare(ii))
+        sol = heavy_singleton([(5, 4), (9, 100)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([1], [4])
         assert sol.value() == RatioValue.finite(20)
         assert brute_force_semi_restricted(
             TwoSetInstance.from_pairs([(5, 4), (9, 100)]), 1
         ).optimum == RatioValue.finite(20)
 
-    def test_inconsistent_candidates_rejected(self):
-        ii = integer([(2, 100), (2, 1)], 1)
-        sides, _ = prepare(ii)
-        bogus = CandidateSets(frozenset({1}), frozenset({1}), 4)
-        with pytest.raises(ValueError):
-            solve_heavy_singleton(ii, sides, bogus)
-
 
 class TestDifferenceDp:
     def test_worked_instance(self):
-        ii = integer([(5, 4), (3, 6)], 1)
-        sol = solve_difference_dp(ii, *prepare(ii))
+        sol = difference_dp([(5, 4), (3, 6)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([1], [4])
         assert sol.value() == RatioValue.finite(Fraction(6, 5))
 
     def test_heavy_weight_falls_out_of_window(self):
-        ii = integer([(2, 100), (2, 1)], 1)
-        sol = solve_difference_dp(ii, *prepare(ii))
+        sol = difference_dp([(2, 100), (2, 1)], 1)
         assert sol.is_empty
 
     def test_uniform_instance(self):
-        ii = integer([(4, 4), (4, 4)], 1)
-        sol = solve_difference_dp(ii, *prepare(ii))
+        sol = difference_dp([(4, 4), (4, 4)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([1], [4])
         assert sol.value() == RatioValue.finite(1)
 
@@ -209,8 +174,7 @@ class TestOracleEquivalence:
             pairs = list(zip(near, far))
             instance = TwoSetInstance.from_pairs(pairs)
             want = brute_force_semi_restricted(instance, 1)
-            ii = integer(pairs, 1)
-            got = solve_heavy_singleton(ii, *prepare(ii))
+            got = heavy_singleton(pairs, 1)
             if want.best is None:
                 assert got.is_empty
             else:
@@ -267,14 +231,14 @@ class TestDifferenceTable:
         picks = rng.sample(dp_battery, 25)
         for pairs in picks:
             n = len(pairs)
-            weights = tuple(a for a, _ in pairs) + tuple(b for _, b in pairs)
+            weights = flat(pairs)
             for near in (0, n):
                 pivot_weight = rng.choice(weights)
                 yield weights, n, near, pivot_weight
 
     def test_matches_reference_enumeration(self, dp_battery):
         for weights, n, near, v in self.tables(dp_battery):
-            table = DifferenceTable(weights, n, near, v, keep_history=True)
+            table = DifferenceTable(weights, n, near, v)
             want, cap = reference_cells(weights, n, near, v)
             assert cap == table.cap
             got = {}
@@ -300,18 +264,15 @@ class TestDifferenceTable:
                             s1, s2 = table.reconstruct(diff, hp, hh)
                             assert -2 * table.cap <= diff <= table.cap
 
-    def test_inner_row_cells_and_decisions(self):
-        weights = (5, 3, 4, 6)
-        table = DifferenceTable(weights, 2, 0, 5, keep_history=True)
-        root = table.cell(0, 0, False, False)
-        assert root.occupied and root.total == 0
-        grown = table.cell(1, 5, True, False)
-        assert grown.occupied and grown.total == 5 and grown.decision == "take_near"
+    def test_final_row_cells(self):
+        table = DifferenceTable((5, 3, 4, 6), 2, 0, 5)
         final = table.cell(2, -1, True, True)
-        assert final.occupied and final.total == 11 and final.decision == "take_far"
-        assert final.parent_flags == (True, False)
-        missing = table.cell(2, 2, True, True)
-        assert not missing.occupied
+        assert final.occupied and final.total == 11
+        assert table.reconstruct(-1) == (frozenset({1}), frozenset({4}))
+        assert not table.cell(2, 2, True, True).occupied
+        assert table.occupied(1, 5, True, False)
+        with pytest.raises(ValueError):
+            table.cell(1, 5, True, False)  # inner rows keep no totals
 
     def test_window_bounds_raise_outside(self):
         table = DifferenceTable((5, 3, 4, 6), 2, 0, 5)
@@ -329,17 +290,12 @@ class TestDifferenceTable:
                 assert counter.cells <= 100 * n * n * pivot_weight + 200
 
 
-class TestPrepareSolversAgree:
+class TestRegimesAgree:
     def test_case_results_combine_to_solver(self, dp_battery):
         # the full solver never does worse than either per-side regime
         for pairs in dp_battery[:30]:
             n = len(pairs)
             for m in (1, n + 1):
-                ii = integer(pairs, m)
-                sides, cand = prepare(ii)
-                full = solve_semi_restricted(ii).value()
-                for partial in (
-                    solve_heavy_singleton(ii, sides, cand),
-                    solve_difference_dp(ii, sides, cand),
-                ):
+                full = solve_semi_restricted(integer(pairs, m)).value()
+                for partial in (heavy_singleton(pairs, m), difference_dp(pairs, m)):
                     assert full <= partial.value()
