@@ -12,13 +12,14 @@ from fractions import Fraction
 
 from ssratio import (
     DifferenceTable,
-    IntegerInstance,
+    SolutionPair,
     TwoSetInstance,
     brute_force_semi_restricted,
     brute_force_two_set,
+    decode,
+    encode_ssr_weights,
+    exact_solver,
     fptas_solve,
-    solve_semi_restricted,
-    solve_ssr,
 )
 
 # Four weight pairs; a solution picks first-side elements for one set and
@@ -31,7 +32,8 @@ print(f"instance: {pairs}  (flattened weights {[str(w) for w in inst.weights]})"
 # Pivot 1 asks: among solutions whose smaller set-maximum equals weight 5,
 # which has the smallest larger-over-smaller sum ratio?
 m = 1
-exact = solve_semi_restricted(IntegerInstance.from_pairs(pairs, m))
+weights = tuple(int(w) for w in inst.weights)
+exact = SolutionPair.from_sets(weights, *exact_solver(weights, m))
 oracle = brute_force_semi_restricted(inst, m)
 print(f"\npivot {m}: exact solver  s1={sorted(exact.s1)} s2={sorted(exact.s2)} "
       f"value={exact.value()}")
@@ -42,8 +44,7 @@ assert exact.value() == oracle.optimum
 # The solver fills a table over (processed pairs, sum difference, flags).
 # Cells on the fully-flagged layer of the last row are feasible solutions;
 # each stores the largest total sum for its difference.
-table = DifferenceTable(inst_weights := tuple(int(w) for w in inst.weights),
-                        inst.n, 0, inst_weights[m - 1])
+table = DifferenceTable(weights, inst.n, 0, weights[m - 1])
 best = table.best_cell()
 print(f"\nDP window: differences in [-{2 * table.cap}, {table.cap}]")
 print(f"best cell: difference {best[0]}, total sum {best[1]}")
@@ -63,9 +64,12 @@ for entry in approx.per_pivot_log[:4]:
     print(f"  pivot {entry.m}: scaled {entry.scaled_value}, original {entry.original_value}")
 
 # --- plain subset-sum ratio through the same engine --------------------------
-res = solve_ssr([7, 11, 4, 18], Fraction(1, 10))
+# Encode as identical pairs, run the driver, decode back to base indices.
+encoded = encode_ssr_weights([7, 11, 4, 18])
+res = fptas_solve(encoded, Fraction(1, 10))
+decoded = decode(res.solution, "ssr", encoded.n)
 print(f"\nssr [7, 11, 4, 18]: value {res.value}, "
-      f"sets {sorted(res.decoded.s1)} vs {sorted(res.decoded.s2)}")
+      f"sets {sorted(decoded.s1)} vs {sorted(decoded.s2)}")
 # equal-sum subsets exist (7 + 4 = 11), so the exact ratio 1 is reachable
 assert res.value.as_fraction() == 1
 print("\nall checks passed")

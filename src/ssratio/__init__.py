@@ -4,11 +4,13 @@ Exact pseudo-polynomial solver for the pivoted two-set ratio problem, a
 generic FPTAS driver on top of it, reductions that route the plain and
 factor-r variants through the same engine, and brute-force oracles for
 verification.  All solver arithmetic is exact-rational.
+
+One entry per concept: exact_solver (one pivot), fptas_solve (two-set),
+encode_ssr_weights/encode_factor_r_weights and decode (source problems).
 """
 
 from .core import (
     Fraction,
-    IntegerInstance,
     OpCounter,
     RatioValue,
     SolutionPair,
@@ -30,7 +32,6 @@ from .semi_restricted import (
     DifferenceTable,
     DpCell,
     exact_solver,
-    solve_semi_restricted,
 )
 from .fptas import (
     ApproxResult,
@@ -42,17 +43,11 @@ from .fptas import (
     fptas_solve,
     scale_instance,
     scaled_pair_value,
-    solve_factor_r,
-    solve_ssr,
 )
 from .reductions import (
     DecodedSolution,
-    FactorRInstance,
-    SsrInstance,
     decode,
-    encode_factor_r,
     encode_factor_r_weights,
-    encode_ssr,
     encode_ssr_weights,
 )
 
@@ -60,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Fraction",
-    "IntegerInstance",
     "OpCounter",
     "RatioValue",
     "SolutionPair",
@@ -78,7 +72,6 @@ __all__ = [
     "DifferenceTable",
     "DpCell",
     "exact_solver",
-    "solve_semi_restricted",
     "ApproxResult",
     "ExactSolver",
     "PivotLog",
@@ -88,14 +81,8 @@ __all__ = [
     "fptas_solve",
     "scale_instance",
     "scaled_pair_value",
-    "solve_factor_r",
-    "solve_ssr",
     "DecodedSolution",
-    "FactorRInstance",
-    "SsrInstance",
     "decode",
-    "encode_factor_r",
     "encode_factor_r_weights",
-    "encode_ssr",
     "encode_ssr_weights",
 ]

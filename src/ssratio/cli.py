@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -308,6 +309,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     epsilons = [_parse_epsilon(part) for part in args.epsilons.split(",") if part.strip()]
     if not epsilons:
         raise CliError(f"bad epsilons list: {args.epsilons!r}")
+    for flag, value in (("--trials", args.trials), ("--weight-max", args.weight_max)):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1, got {value}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -394,6 +398,11 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
         return problems
 
     n, lookup = _weight_lookup(instance)
+    problems.extend(_stats_problems(doc.get("stats"), mode, 2 * n))
+    pivot = doc.get("pivot_used")
+    pivot_ok = type(pivot) is int and 1 <= pivot <= 2 * n
+    if mode == "fptas" and not (pivot is None if status == "infeasible" else pivot_ok):
+        problems.append(f"pivot_used must be null when infeasible, else an integer in 1..{2 * n}")
     s1 = doc.get("s1")
     s2 = doc.get("s2")
     if not isinstance(s1, list) or not isinstance(s2, list):
@@ -414,7 +423,8 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     if set(s1) & set(s2):
         problems.append("sets must be disjoint")
 
-    # side roles per problem kind
+    # side roles per problem kind; encoded index i has role side_roles[i > n]
+    side_roles = ("a", "b") if problem == "two-set" else ("plain", "r")
     if problem == "two-set":
         sides = doc.get("s1_side"), doc.get("s2_side")
         if set(sides) != {"a", "b"}:
@@ -431,8 +441,9 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     else:
         role1 = role2 = "plain"
 
-    sum1 = sum(lookup(i, role1) for i in s1)
-    sum2 = sum(lookup(j, role2) for j in s2)
+    w1 = [lookup(i, role1) for i in s1]
+    w2 = [lookup(j, role2) for j in s2]
+    sum1, sum2 = sum(w1), sum(w2)
     stated1 = parse_rational(doc.get("sum1", "0"))
     stated2 = parse_rational(doc.get("sum2", "0"))
     if (sum1, sum2) != (stated1, stated2):
@@ -450,6 +461,30 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
             return problems
         if parse_rational(doc.get("bound", "0")) != 1 + eps:
             problems.append("bound must equal 1 + epsilon")
+        if pivot_ok:
+            # pivot claim in scaled weights floor(w / delta), delta = epsilon *
+            # w_m / 6n: flooring can merge distinct original weights, so the
+            # claim on original weights fails for some correct outputs
+            per_delta = 6 * n / (eps * lookup((pivot - 1) % n + 1, side_roles[pivot > n]))
+            if min(math.floor(max(w) * per_delta) for w in (w1, w2)) != math.floor(6 * n / eps):
+                problems.append(f"the smaller set maximum does not scale to pivot {pivot}")
+    return problems
+
+
+def _stats_problems(stats: Any, mode: str, count: int) -> list[str]:
+    """Stats must be what `solve` or `oracle` writes for `count` pivots."""
+    if not isinstance(stats, dict):
+        return ["stats must be an object"]
+    problems = []
+    pivots, cells = stats.get("pivots_evaluated"), stats.get("dp_cell_ops")
+    if mode == "fptas":
+        if not (pivots == count and type(pivots) is int and type(cells) is int and cells >= 0):
+            problems.append(f"stats need pivots_evaluated {count} and dp_cell_ops >= 0")
+    elif not (pivots == cells == 0 and type(pivots) is type(cells) is int):
+        problems.append("oracle stats need pivots_evaluated and dp_cell_ops 0")
+    wall = stats.get("wall_time_ms", 0)
+    if type(wall) not in (int, float) or not 0 <= wall < math.inf:
+        problems.append("stats wall_time_ms must be a non-negative number")
     return problems
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "RatioValue",
     "TwoSetInstance",
     "SolutionPair",
-    "IntegerInstance",
     "OpCounter",
     "check_feasible_two_set",
     "check_feasible_semi_restricted",
@@ -258,40 +257,6 @@ def check_feasible_semi_restricted(sol: SolutionPair, inst: TwoSetInstance, m: i
     max1 = max(inst.weight(i) for i in sol.s1)
     max2 = max(inst.weight(j) for j in sol.s2)
     return min(max1, max2) == inst.weight(m)
-
-
-@dataclass(frozen=True)
-class IntegerInstance:
-    """Two-set instance with integer weights plus a designated pivot index.
-
-    The exact solver requires this form; the FPTAS driver produces it by
-    scaling and flooring arbitrary rational weights.
-    """
-
-    n: int
-    weights: tuple[int, ...]
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("instance needs at least one pair")
-        if len(self.weights) != 2 * self.n:
-            raise ValueError(f"expected {2 * self.n} weights, got {len(self.weights)}")
-        for w in self.weights:
-            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                raise ValueError("weights must be integers >= 1")
-        if not 1 <= self.m <= 2 * self.n:
-            raise ValueError(f"pivot {self.m} out of range 1..{2 * self.n}")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]], m: int) -> "IntegerInstance":
-        listed = list(pairs)
-        firsts = tuple(a for a, _ in listed)
-        seconds = tuple(b for _, b in listed)
-        return cls(len(listed), firsts + seconds, m)
-
-    def pivot_weight(self) -> int:
-        return self.weights[self.m - 1]
 
 
 class OpCounter:

@@ -14,12 +14,15 @@ built-in default is ssratio.semi_restricted.exact_solver.  Pivots sharing
 the same weight value and side produce identical scaled subproblems, so
 the driver calls the solver once per distinct (value, side), at the first
 pivot with that key.
+
+The driver sees only two-set instances: the plain and factor-r problems
+reach it through ssratio.reductions (encode, fptas_solve, decode).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -32,7 +35,6 @@ from .core import (
     TwoSetInstance,
 )
 from .semi_restricted import exact_solver
-from . import reductions
 
 __all__ = [
     "ExactSolver",
@@ -41,8 +43,6 @@ __all__ = [
     "ApproxResult",
     "scale_instance",
     "fptas_solve",
-    "solve_ssr",
-    "solve_factor_r",
     "scaled_pair_value",
     "check_pivot_inequalities",
     "check_optimum_scaling",
@@ -110,7 +110,6 @@ class ApproxResult:
     pivots_evaluated: int
     dp_cell_ops: int
     per_pivot_log: tuple[PivotLog, ...] | None = None
-    decoded: "reductions.DecodedSolution | None" = None
 
     @property
     def feasible(self) -> bool:
@@ -138,7 +137,6 @@ def fptas_solve(
     exact: ExactSolver | None = None,
     *,
     collect_log: bool = False,
-    validate: bool = False,
     counter: OpCounter | None = None,
 ) -> ApproxResult:
     """(1 + epsilon)-approximation for a two-set instance.
@@ -171,8 +169,6 @@ def fptas_solve(
         if s1 and s2:
             pair = SolutionPair.from_sets(weights, s1, s2)
             value = pair.value()
-            if validate:
-                check_pivot_inequalities(weights, eps, ctx, s1, s2)
             if value < best_value:
                 best_pair, best_value, pivot_used = pair, value, m
         else:
@@ -190,34 +186,6 @@ def fptas_solve(
         dp_cell_ops=ops.cells - ops_start,
         per_pivot_log=tuple(log) if collect_log else None,
     )
-
-
-def solve_ssr(
-    weights: Sequence[RationalLike], epsilon: RationalLike, **kwargs
-) -> ApproxResult:
-    """Approximate the plain subset-sum ratio problem.
-
-    Encodes the weights as identical pairs, runs the driver, and attaches
-    the decoded base-index solution.  Weights may be any positive
-    rationals.
-    """
-    encoded = reductions.encode_ssr_weights(weights)
-    result = fptas_solve(encoded, epsilon, **kwargs)
-    decoded = reductions.decode(result.solution, "ssr", encoded.n)
-    return replace(result, decoded=decoded)
-
-
-def solve_factor_r(
-    weights: Sequence[RationalLike],
-    r: RationalLike,
-    epsilon: RationalLike,
-    **kwargs,
-) -> ApproxResult:
-    """Approximate the factor-r ratio problem via the pair encoding."""
-    encoded = reductions.encode_factor_r_weights(weights, r)
-    result = fptas_solve(encoded, epsilon, **kwargs)
-    decoded = reductions.decode(result.solution, "factor-r", encoded.n)
-    return replace(result, decoded=decoded)
 
 
 # ---------------------------------------------------------------------------

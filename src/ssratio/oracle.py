@@ -142,16 +142,11 @@ def brute_force_semi_restricted(
 ) -> OracleResult:
     """Exact optimum restricted to pairs whose smaller set-maximum equals
     the weight of element m (compared by value)."""
-    _check_cap(inst.n, max_n)
     if not 1 <= m <= 2 * inst.n:
         raise ValueError(f"pivot {m} out of range 1..{2 * inst.n}")
-    w, _ = _integer_weights(inst.weights)
-    pivot = w[m - 1]
-    best = _Best()
-    for s1, s2, sum1, sum2, max1, max2 in _two_set_states(inst):
-        if min(max1, max2) == pivot:
-            best.offer(max(sum1, sum2), min(sum1, sum2), s1, s2)
-    return _result(best, inst.weights)
+    return semi_restricted_optima_by_value(inst, max_n).get(
+        inst.weight(m), OracleResult(None, RatioValue.infinite())
+    )
 
 
 def semi_restricted_optima_by_value(
@@ -162,8 +157,7 @@ def semi_restricted_optima_by_value(
 
     The returned mapping has one entry per weight value that admits a
     feasible solution; pivots whose weight is absent are infeasible.
-    Equivalent to calling brute_force_semi_restricted per pivot, at a 2n-th
-    of the cost; the equivalence is covered by tests.
+    brute_force_semi_restricted reads its answer from this mapping.
     """
     _check_cap(inst.n, max_n)
     _, scale = _integer_weights(inst.weights)

@@ -8,66 +8,31 @@ already the r-multiplied sum of its base set, so again the objective
 carries over unchanged.  Decoding maps flattened indices back to base
 indices and, for factor-r, reports which decoded set plays the
 r-multiplied role (the solver may return either orientation).
+A source problem is solved by encode_*_weights, fptas_solve on the pair
+instance, then decode of its solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .core import RationalLike, RatioValue, SolutionPair, TwoSetInstance, parse_rational
+from .core import RationalLike, SolutionPair, TwoSetInstance, parse_rational
 
 __all__ = [
-    "SsrInstance",
-    "FactorRInstance",
     "DecodedSolution",
-    "encode_ssr",
     "encode_ssr_weights",
-    "encode_factor_r",
     "encode_factor_r_weights",
     "decode",
 ]
 
 
 @dataclass(frozen=True)
-class SsrInstance:
-    """Plain subset-sum ratio input: positive integer weights."""
-
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.weights:
-            raise ValueError("instance needs at least one weight")
-        for w in self.weights:
-            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                raise ValueError("weights must be integers >= 1")
-
-
-@dataclass(frozen=True)
-class FactorRInstance:
-    """Factor-r input: positive integer weights and a rational factor r >= 1."""
-
-    weights: tuple[int, ...]
-    r: Fraction
-
-    def __post_init__(self) -> None:
-        if not self.weights:
-            raise ValueError("instance needs at least one weight")
-        for w in self.weights:
-            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                raise ValueError("weights must be integers >= 1")
-        if not isinstance(self.r, Fraction) or self.r < 1:
-            raise ValueError("factor r must be a Fraction >= 1")
-
-
-@dataclass(frozen=True)
 class DecodedSolution:
-    """Solution mapped back to base indices, with the source objective."""
+    """Solution mapped back to base indices."""
 
     s1: frozenset[int]
     s2: frozenset[int]
-    objective: RatioValue
     r_multiplied: str | None = None  # "s1" or "s2" for factor-r sources
 
     def __post_init__(self) -> None:
@@ -86,11 +51,6 @@ def encode_ssr_weights(weights: Sequence[RationalLike]) -> TwoSetInstance:
     return TwoSetInstance.from_pairs((v, v) for v in map(parse_rational, weights))
 
 
-def encode_ssr(inst: SsrInstance) -> TwoSetInstance:
-    """Pair instance ((a_i, a_i)); optima and feasible solutions correspond."""
-    return encode_ssr_weights(inst.weights)
-
-
 def encode_factor_r_weights(weights: Sequence[RationalLike], r: RationalLike) -> TwoSetInstance:
     """Pair encoding ((w_i, r*w_i)); second-side sums carry the factor."""
     factor = parse_rational(r)
@@ -99,23 +59,17 @@ def encode_factor_r_weights(weights: Sequence[RationalLike], r: RationalLike) ->
     return TwoSetInstance.from_pairs((v, factor * v) for v in map(parse_rational, weights))
 
 
-def encode_factor_r(inst: FactorRInstance) -> TwoSetInstance:
-    """Pair instance ((a_i, r*a_i)); second-side sums carry the factor."""
-    return encode_factor_r_weights(inst.weights, inst.r)
-
-
 def decode(sol: SolutionPair, source: str, n: int) -> DecodedSolution:
     """Map an encoded solution back to base indices of the source problem.
 
-    The objective is recomputed from the pair's cached sums, which for
-    factor-r already include the factor, so it equals the encoded
-    objective exactly.  An empty pair decodes to an empty (infeasible)
-    solution.
+    The source objective is the encoded pair's own ``sol.value()``: its
+    cached sums already include the factor for factor-r.  An empty pair
+    decodes to an empty (infeasible) solution.
     """
     if source not in ("ssr", "factor-r"):
         raise ValueError(f"unknown source problem: {source!r}")
     if sol.is_empty:
-        return DecodedSolution(frozenset(), frozenset(), RatioValue.infinite())
+        return DecodedSolution(frozenset(), frozenset())
     first = set(range(1, n + 1))
     second = set(range(n + 1, 2 * n + 1))
     r_multiplied: str | None = None
@@ -137,5 +91,4 @@ def decode(sol: SolutionPair, source: str, n: int) -> DecodedSolution:
     s1, s2 = decoded_sets
     if s1 & s2:
         raise ValueError("encoded solution violates the pair constraint")
-    objective = RatioValue.finite(max(sol.sum1, sol.sum2) / min(sol.sum1, sol.sum2))
-    return DecodedSolution(s1, s2, objective, r_multiplied)
+    return DecodedSolution(s1, s2, r_multiplied)

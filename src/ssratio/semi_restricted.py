@@ -24,8 +24,10 @@ Each per-side search splits into two regimes:
 Table writes follow the larger-total-sum rule: a cell is overwritten only
 when unoccupied or strictly beaten on total sum, so filled cells dominate
 every pair ever offered to them.  Total work is O(n^2 * pivot_weight) cell
-operations.  ``exact_solver`` is the one entry point; it runs both regimes
-per side and keeps the better pair.
+operations.  ``exact_solver(weights, m)`` is the one entry point: it takes
+the flat integer weight list and a 1-based pivot, runs both regimes per
+side and returns the better pair as two index frozensets.  Wrap them with
+``SolutionPair.from_sets(weights, s1, s2)`` for sums and the objective.
 """
 
 from __future__ import annotations
@@ -35,18 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    IntegerInstance,
-    OpCounter,
-    SolutionPair,
-    check_feasible_semi_restricted,
-    TwoSetInstance,
-)
+from .core import OpCounter
 
 __all__ = [
     "DpCell",
     "DifferenceTable",
-    "solve_semi_restricted",
     "exact_solver",
 ]
 
@@ -388,7 +383,7 @@ def _solve_one_side(
 def exact_solver(
     weights: Sequence[int], m: int, counter: OpCounter | None = None
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Raw solver entry: integer weights (zeros allowed), 1-based pivot m.
+    """Exact pivoted optimum: integer weights (zeros allowed), 1-based pivot m.
 
     Zero weights arise from FPTAS scaling; they can never join a solution
     (extensions must strictly raise the stored total and the flag bits need
@@ -418,19 +413,3 @@ def exact_solver(
     if best is None:
         return frozenset(), frozenset()
     return best
-
-
-def solve_semi_restricted(inst: IntegerInstance, counter: OpCounter | None = None) -> SolutionPair:
-    """Exact optimum of the pivoted problem; empty pair when infeasible.
-
-    The result, when nonempty, passes check_feasible_semi_restricted and
-    attains the minimum ratio among all such pairs.  Deterministic:
-    repeated calls return identical sets.
-    """
-    s1, s2 = exact_solver(inst.weights, inst.m, counter)
-    pair = SolutionPair.from_sets(inst.weights, s1, s2)
-    if not pair.is_empty:
-        two_set = TwoSetInstance.from_weights(inst.weights)
-        if not check_feasible_semi_restricted(pair, two_set, inst.m):
-            raise AssertionError("solver produced an infeasible pair")
-    return pair

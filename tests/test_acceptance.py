@@ -18,8 +18,8 @@ import numpy as np
 
 from ssratio import (
     DifferenceTable,
-    IntegerInstance,
     OpCounter,
+    SolutionPair,
     TwoSetInstance,
     brute_force_factor_r,
     brute_force_ssr,
@@ -27,16 +27,13 @@ from ssratio import (
     check_feasible_semi_restricted,
     check_optimum_scaling,
     check_pivot_inequalities,
-    encode_factor_r,
-    encode_ssr,
+    encode_factor_r_weights,
+    encode_ssr_weights,
     exact_solver,
-    FactorRInstance,
     fptas_solve,
     scale_instance,
     scaled_pair_value,
     semi_restricted_optima_by_value,
-    solve_semi_restricted,
-    SsrInstance,
 )
 from ssratio.cli import main as cli_main
 from conftest import GUARANTEE_EPSILONS, random_pairs
@@ -64,8 +61,9 @@ def test_criterion_1_exact_solver_matches_oracle(exactness_battery):
         for pairs in exactness_battery:
             instance = TwoSetInstance.from_pairs(pairs)
             optima = semi_restricted_optima_by_value(instance)
+            weights = tuple(a for a, _ in pairs) + tuple(b for _, b in pairs)
             for m in range(1, 2 * len(pairs) + 1):
-                sol = solve_semi_restricted(IntegerInstance.from_pairs(pairs, m))
+                sol = SolutionPair.from_sets(weights, *exact_solver(weights, m))
                 want = optima.get(instance.weight(m))
                 if want is None:
                     assert sol.is_empty, (pairs, m)
@@ -241,7 +239,7 @@ def test_criterion_5_reduction_equivalence():
         for _ in range(200):
             weights = [rng.randint(1, 30) for _ in range(rng.randint(1, 8))]
             direct = brute_force_ssr(weights)
-            encoded = brute_force_two_set(encode_ssr(SsrInstance(tuple(weights))))
+            encoded = brute_force_two_set(encode_ssr_weights(weights))
             assert direct.optimum == encoded.optimum, weights
             ssr_checked += 1
         factor_checked = 0
@@ -249,9 +247,7 @@ def test_criterion_5_reduction_equivalence():
             for _ in range(67):
                 weights = [rng.randint(1, 30) for _ in range(rng.randint(1, 8))]
                 direct = brute_force_factor_r(weights, r)
-                encoded = brute_force_two_set(
-                    encode_factor_r(FactorRInstance(tuple(weights), r))
-                )
+                encoded = brute_force_two_set(encode_factor_r_weights(weights, r))
                 assert direct.optimum == encoded.optimum, (weights, r)
                 factor_checked += 1
         assert ssr_checked >= 200 and factor_checked >= 200
@@ -283,7 +279,8 @@ def test_criterion_6_runtime_shape():
                 pairs[0] = (30, pairs[0][1])   # pin the pivot weight
                 pairs[1] = (pairs[1][0], 30)   # keep the far side feasible
                 counter = OpCounter()
-                solve_semi_restricted(IntegerInstance.from_pairs(pairs, 1), counter)
+                weights = tuple(a for a, _ in pairs) + tuple(b for _, b in pairs)
+                exact_solver(weights, 1, counter)
                 trials.append(counter.cells)
             mean_ops.append(sum(trials) / len(trials))
         solver_slope = _fit_slope(sizes, mean_ops)

@@ -215,6 +215,37 @@ class TestCheck:
             assert code == 1 and err
 
 
+    @pytest.mark.parametrize("edits", [
+        {"pivot_used": 3, "epsilon": "9/10", "bound": "19/10",
+         "stats": {"pivots_evaluated": -5, "dp_cell_ops": "x"}},
+        {"pivot_used": 3},
+        {"pivot_used": 99},
+        {"pivot_used": None},
+        {"pivot_used": True},
+        {"stats": [4, 0]},
+        {"stats": {"pivots_evaluated": 5, "dp_cell_ops": 0}},
+        {"stats": {"pivots_evaluated": 4, "dp_cell_ops": 0, "wall_time_ms": -1}},
+    ])
+    def test_tampered_pivot_and_stats_fail(self, worked_two_set, tmp_path, capsys, edits):
+        sol = str(tmp_path / "sol.json")
+        run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--timings", "--output", sol)
+        assert run(capsys, "check", worked_two_set, sol)[0] == 0
+        doc = json.loads(open(sol).read())
+        doc.update(edits)
+        open(sol, "w").write(json.dumps(doc))
+        code, out, err = run(capsys, "check", worked_two_set, sol)
+        assert code == 1 and out == "" and err.startswith("check failed:")
+
+    def test_oracle_stats_must_be_zero(self, worked_two_set, tmp_path, capsys):
+        sol = str(tmp_path / "sol.json")
+        run(capsys, "oracle", worked_two_set, "--output", sol)
+        doc = json.loads(open(sol).read())
+        doc["stats"]["dp_cell_ops"] = 7
+        open(sol, "w").write(json.dumps(doc))
+        code, _, err = run(capsys, "check", worked_two_set, sol)
+        assert code == 1 and "stats" in err
+
+
 class TestDeterminism:
     def test_identical_bytes_across_runs(self, tmp_path, capsys):
         inst = write_instance(
@@ -261,6 +292,15 @@ class TestBench:
                 eps = Fraction(eps_str)
                 assert Fraction(1) <= Fraction(value) <= (1 + eps) * Fraction(opt)
                 assert float(ratio_to_opt) >= 1.0
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--weight-max", "0"), ("--trials", "0"), ("--trials", "-3"),
+    ])
+    def test_bad_counts_exit_cleanly(self, capsys, flag, value):
+        code, out, err = run(capsys, "bench", "--sizes", "3", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_generator_is_seeded(self):
         a = random_two_set(5, 11, 0, 50)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from ssratio import (
-    IntegerInstance,
     RatioValue,
     SolutionPair,
     TwoSetInstance,
@@ -137,14 +136,6 @@ class TestInstances:
     def test_from_weights_needs_even_length(self):
         with pytest.raises(ValueError):
             TwoSetInstance.from_weights([1, 2, 3])
-
-    def test_integer_instance_validation(self):
-        with pytest.raises(ValueError):
-            IntegerInstance(1, (1, 0), 1)
-        with pytest.raises(ValueError):
-            IntegerInstance(1, (1, 1), 3)
-        inst = IntegerInstance.from_pairs([(2, 3)], 2)
-        assert inst.pivot_weight() == 3
 
     def test_solution_pair_validation(self):
         with pytest.raises(ValueError):

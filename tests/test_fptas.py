@@ -15,12 +15,13 @@ from ssratio import (
     brute_force_two_set,
     check_optimum_scaling,
     check_pivot_inequalities,
+    decode,
+    encode_factor_r_weights,
+    encode_ssr_weights,
     exact_solver,
     fptas_solve,
     scale_instance,
     scaled_pair_value,
-    solve_factor_r,
-    solve_ssr,
 )
 from conftest import GUARANTEE_EPSILONS, random_pairs
 
@@ -106,7 +107,7 @@ class TestDriver:
             inst = TwoSetInstance.from_pairs(pairs)
             opt = brute_force_two_set(inst)
             for eps in (Fraction(1, 10), Fraction(9, 10)):
-                res = fptas_solve(inst, eps, validate=True)
+                res = fptas_solve(inst, eps)
                 assert res.feasible == opt.feasible
                 if opt.feasible:
                     got = res.value.as_fraction()
@@ -228,34 +229,58 @@ class TestScalingChecks:
                 assert got <= ceiling
 
 
+def solve_source(encoded, source, eps):
+    """encode -> fptas_solve -> decode, the path `ssratio solve` runs."""
+    res = fptas_solve(encoded, eps)
+    return res, decode(res.solution, source, encoded.n)
+
+
 class TestConvenienceFrontends:
     def test_ssr_examples(self):
-        res = solve_ssr([2, 2], Fraction(1, 10))
+        res, dec = solve_source(encode_ssr_weights([2, 2]), "ssr", Fraction(1, 10))
         assert res.value == RatioValue.finite(1)
-        assert res.decoded is not None
-        assert len(res.decoded.s1) == 1 and len(res.decoded.s2) == 1
+        assert len(dec.s1) == 1 and len(dec.s2) == 1
 
-        res = solve_ssr([1, 2, 3], Fraction(1, 10))
+        res, dec = solve_source(encode_ssr_weights([1, 2, 3]), "ssr", Fraction(1, 10))
         assert res.value == RatioValue.finite(1)
-        assert {frozenset(res.decoded.s1), frozenset(res.decoded.s2)} == {
-            frozenset({3}), frozenset({1, 2})
-        }
+        assert {dec.s1, dec.s2} == {frozenset({3}), frozenset({1, 2})}
 
-        assert solve_ssr([1], Fraction(1, 2)).status == "infeasible"
+        res, dec = solve_source(encode_ssr_weights([1]), "ssr", Fraction(1, 2))
+        assert res.status == "infeasible" and dec.is_empty
 
     def test_ssr_accepts_rational_weights(self):
-        res = solve_ssr(["1/2", "1/4", "3/4"], Fraction(1, 10))
+        res = fptas_solve(encode_ssr_weights(["1/2", "1/4", "3/4"]), Fraction(1, 10))
         assert res.value == RatioValue.finite(1)
 
     def test_factor_r_example(self):
-        res = solve_factor_r([1, 1], 2, Fraction(1, 10))
+        res, dec = solve_source(encode_factor_r_weights([1, 1], 2), "factor-r", Fraction(1, 10))
         assert res.value == RatioValue.finite(2)
-        assert res.decoded.r_multiplied in ("s1", "s2")
-        assert res.decoded.objective == res.value
+        assert dec.r_multiplied in ("s1", "s2")
 
     def test_factor_one_matches_ssr(self):
         rng = random.Random(47)
         for _ in range(10):
             weights = [rng.randint(1, 15) for _ in range(rng.randint(1, 5))]
             eps = Fraction(1, 4)
-            assert solve_factor_r(weights, 1, eps).value == solve_ssr(weights, eps).value
+            assert (
+                fptas_solve(encode_factor_r_weights(weights, 1), eps).value
+                == fptas_solve(encode_ssr_weights(weights), eps).value
+            )
+
+
+class TestClosedFormOptima:
+    """Known optima beyond the oracle's size cap."""
+
+    @pytest.mark.parametrize("n", [16, 20, 24])
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 4)])
+    def test_powers_of_two(self, n, eps):
+        # distinct subset sums: the best pair is {2^(n-1)} against all the rest
+        top = 2 ** (n - 1)
+        optimum = Fraction(top, top - 1)
+        res, dec = solve_source(encode_ssr_weights([2**k for k in range(n)]), "ssr", eps)
+        assert optimum <= res.value.as_fraction() <= (1 + eps) * optimum
+        assert not dec.is_empty
+
+    def test_all_equal_weights(self):
+        res = fptas_solve(encode_ssr_weights([7] * 30), Fraction(1, 4))
+        assert res.value == RatioValue.finite(1)

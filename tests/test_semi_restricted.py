@@ -10,7 +10,6 @@ import pytest
 
 from ssratio import (
     DifferenceTable,
-    IntegerInstance,
     OpCounter,
     RatioValue,
     SolutionPair,
@@ -19,18 +18,19 @@ from ssratio import (
     check_feasible_semi_restricted,
     exact_solver,
     semi_restricted_optima_by_value,
-    solve_semi_restricted,
 )
 from ssratio.semi_restricted import _heavy_singleton, _side_view
 from conftest import random_pairs
 
 
-def integer(pairs, m):
-    return IntegerInstance.from_pairs(pairs, m)
-
-
 def flat(pairs):
     return tuple(a for a, _ in pairs) + tuple(b for _, b in pairs)
+
+
+def solve(pairs, m, counter=None):
+    """The exact solver on integer pairs, as a SolutionPair."""
+    weights = flat(pairs)
+    return SolutionPair.from_sets(weights, *exact_solver(weights, m, counter))
 
 
 def heavy_singleton(pairs, m):
@@ -91,29 +91,29 @@ class TestDifferenceDp:
 
 class TestSolve:
     def test_heavy_singleton_wins(self):
-        sol = solve_semi_restricted(integer([(2, 100), (2, 1)], 1))
+        sol = solve([(2, 100), (2, 1)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([2], [3])
         assert sol.value() == RatioValue.finite(50)
 
     def test_dp_wins(self):
-        sol = solve_semi_restricted(integer([(5, 4), (3, 6)], 1))
+        sol = solve([(5, 4), (3, 6)], 1)
         assert sol.value() == RatioValue.finite(Fraction(6, 5))
 
     def test_infeasible_pivot(self):
-        sol = solve_semi_restricted(integer([(5, 4), (3, 6)], 4))
+        sol = solve([(5, 4), (3, 6)], 4)
         assert sol.is_empty
 
     def test_pivot_value_on_opposite_side(self):
         # the pivot's weight is realised by the opposite side only
-        sol = solve_semi_restricted(integer([(10, 10), (11, 2)], 1))
+        sol = solve([(10, 10), (11, 2)], 1)
         assert sol.value() == RatioValue.finite(Fraction(11, 10))
 
     def test_mate_of_pivot_in_far_set(self):
-        sol = solve_semi_restricted(integer([(5, 9), (5, 1)], 1))
+        sol = solve([(5, 9), (5, 1)], 1)
         assert sol.value() == RatioValue.finite(Fraction(9, 5))
 
     def test_duplicate_pivot_weights_join_near_set(self):
-        sol = solve_semi_restricted(integer([(5, 1), (5, 1), (1, 11)], 1))
+        sol = solve([(5, 1), (5, 1), (1, 11)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([1, 2], [6])
         assert sol.value() == RatioValue.finite(Fraction(11, 10))
 
@@ -125,7 +125,7 @@ class TestSolve:
         with pytest.raises(ValueError):
             exact_solver([1, 2, 3, 4], 5)  # pivot out of range
         with pytest.raises(ValueError):
-            IntegerInstance.from_pairs([(1, Fraction(1, 2))], 1)
+            exact_solver([1, Fraction(1, 2)], 1)  # non-integer weight
 
     def test_zero_weights_are_tolerated_but_never_used(self):
         s1, s2 = exact_solver([3, 0, 0, 3], 1)
@@ -136,8 +136,8 @@ class TestSolve:
         for _ in range(30):
             pairs = random_pairs(rng, rng.randint(1, 6), 20)
             m = rng.randint(1, 2 * len(pairs))
-            first = solve_semi_restricted(integer(pairs, m))
-            second = solve_semi_restricted(integer(pairs, m))
+            first = solve(pairs, m)
+            second = solve(pairs, m)
             assert first == second
 
 
@@ -149,7 +149,7 @@ class TestOracleEquivalence:
             instance = TwoSetInstance.from_pairs(pairs)
             optima = semi_restricted_optima_by_value(instance)
             for m in range(1, 2 * len(pairs) + 1):
-                sol = solve_semi_restricted(integer(pairs, m))
+                sol = solve(pairs, m)
                 want = optima.get(instance.weight(m))
                 if want is None:
                     assert sol.is_empty, (pairs, m)
@@ -285,8 +285,8 @@ class TestDifferenceTable:
             n = len(pairs)
             for m in (1, 2 * n):
                 counter = OpCounter()
-                solve_semi_restricted(integer(pairs, m), counter)
-                pivot_weight = integer(pairs, m).pivot_weight()
+                solve(pairs, m, counter)
+                pivot_weight = flat(pairs)[m - 1]
                 assert counter.cells <= 100 * n * n * pivot_weight + 200
 
 
@@ -296,6 +296,6 @@ class TestRegimesAgree:
         for pairs in dp_battery[:30]:
             n = len(pairs)
             for m in (1, n + 1):
-                full = solve_semi_restricted(integer(pairs, m)).value()
+                full = solve(pairs, m).value()
                 for partial in (heavy_singleton(pairs, m), difference_dp(pairs, m)):
                     assert full <= partial.value()
