@@ -309,9 +309,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     epsilons = [_parse_epsilon(part) for part in args.epsilons.split(",") if part.strip()]
     if not epsilons:
         raise CliError(f"bad epsilons list: {args.epsilons!r}")
-    for flag, value in (("--trials", args.trials), ("--weight-max", args.weight_max)):
-        if value < 1:
-            raise CliError(f"{flag} must be at least 1, got {value}")
+    for flag, value, least in (("--trials", args.trials, 1), ("--weight-max", args.weight_max, 1),
+                               ("--oracle-cap", args.oracle_cap, 0)):
+        if value < least:
+            raise CliError(f"{flag} must be at least {least}, got {value}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

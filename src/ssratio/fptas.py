@@ -13,7 +13,11 @@ are feasible and ratio-optimal for the pivoted problem on its input.  The
 built-in default is ssratio.semi_restricted.exact_solver.  Pivots sharing
 the same weight value and side produce identical scaled subproblems, so
 the driver calls the solver once per distinct (value, side), at the first
-pivot with that key.
+pivot with that key.  Pivots of equal value on opposite sides share the
+scaled weights too: the built-in solver gets one memo per pivot value, so
+each per-side search (and its DP table) runs once per (value, near side).
+A custom `exact=` solver gets no memo and is still called once per
+(value, side).
 
 The driver sees only two-set instances: the plain and factor-r problems
 reach it through ssratio.reductions (encode, fptas_solve, decode).
@@ -160,11 +164,16 @@ def fptas_solve(
     pivot_used: int | None = None
     log: list[PivotLog] = []
     solved: dict[tuple[Fraction, bool], tuple[frozenset[int], frozenset[int]]] = {}
+    side_results: dict[Fraction, dict] = {}  # per pivot value: one scaled vector
     for m in range(1, count + 1):
         ctx = scale_instance(weights, m, eps)
         key = (weights[m - 1], m <= inst.n)
         if key not in solved:
-            solved[key] = exact_solver(ctx.scaled, m, ops) if exact is None else exact(ctx.scaled, m)
+            if exact is None:
+                memo = side_results.setdefault(weights[m - 1], {})
+                solved[key] = exact_solver(ctx.scaled, m, ops, memo=memo)
+            else:
+                solved[key] = exact(ctx.scaled, m)
         s1, s2 = solved[key]
         if s1 and s2:
             pair = SolutionPair.from_sets(weights, s1, s2)

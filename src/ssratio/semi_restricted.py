@@ -23,10 +23,13 @@ Each per-side search splits into two regimes:
 
 Table writes follow the larger-total-sum rule: a cell is overwritten only
 when unoccupied or strictly beaten on total sum, so filled cells dominate
-every pair ever offered to them.  Total work is O(n^2 * pivot_weight) cell
-operations.  ``exact_solver(weights, m)`` is the one entry point: it takes
-the flat integer weight list and a 1-based pivot, runs both regimes per
-side and returns the better pair as two index frozensets.  Wrap them with
+every pair ever offered to them.  Each row touches only its live band of
+differences and the flag layers already reachable, and stores decision
+codes for that band alone; ``dp_cell_ops`` counts the cells touched.
+Total work is O(n^2 * pivot_weight) cell operations.
+``exact_solver(weights, m)`` is the one entry point: it takes the flat
+integer weight list and a 1-based pivot, runs both regimes per side and
+returns the better pair as two index frozensets.  Wrap them with
 ``SolutionPair.from_sets(weights, s1, s2)`` for sums and the objective.
 """
 
@@ -44,6 +47,9 @@ __all__ = [
     "DifferenceTable",
     "exact_solver",
 ]
+
+# Largest DifferenceTable, in bytes of row buffers and decision codes.
+MAX_TABLE_BYTES = 2 << 30
 
 # ---------------------------------------------------------------------------
 # value-based per-side view
@@ -139,6 +145,15 @@ class DifferenceTable:
     be reconstructed by backtracking.  Row 0 holds the empty pair at
     difference 0 with both flags clear.  Totals are kept for the final
     row only.
+
+    Row i can only occupy its live band of columns,
+    [offset - min(2*cap, far prefix sum), offset + candidate near prefix
+    sum], and only the flag layers some earlier row could set.  The fill
+    touches nothing else: it swaps two full-width total rows and keeps,
+    per row, the uint8 decision codes of that row's band with the band's
+    first column.  The counter gets the cells actually touched.  The
+    memory a table needs is predicted from the bands before anything is
+    allocated, and a table over MAX_TABLE_BYTES is refused.
     """
 
     def __init__(
@@ -161,59 +176,88 @@ class DifferenceTable:
         self.cap = view.cap
         self.offset = 2 * self.cap
         self.width = 3 * self.cap + 1
-        # extension candidates stay below 7*cap + 1; keep that inside int32
-        if self.cap > (1 << 28):
-            raise ValueError("difference window too large for the table dtype")
-        self._steps: list[np.ndarray] = []
-        self._fill(counter)
+        bands = self._bands()
+        need = 2 * 4 * self.width * 4 + sum(4 * (hi - lo + 1) for lo, hi in bands[1:])
+        # the limit also keeps every total (below 7*cap + 1) inside int32
+        if need > MAX_TABLE_BYTES:
+            raise ValueError(
+                f"difference table needs {need} bytes, over the {MAX_TABLE_BYTES}-byte limit"
+            )
+        self._steps: list[tuple[int, np.ndarray]] = []
+        self._fill(bands, counter)
 
-    def _fill(self, counter: OpCounter | None) -> None:
+    def _bands(self) -> list[tuple[int, int]]:
+        """First and last live column of rows 0..n; each contains the last."""
+        w, near, far = self.weights, self.near, self.far
+        cand_set = frozenset(self.view.cand_bases)
+        lo = hi = self.offset
+        bands = [(lo, hi)]
+        for i in range(1, self.n + 1):
+            lo = max(0, lo - w[i + far - 1])
+            if i in cand_set:
+                hi += w[i + near - 1]
+            bands.append((lo, hi))
+        return bands
+
+    def _fill(self, bands: list[tuple[int, int]], counter: OpCounter | None) -> None:
         w, n, near, far, v = self.weights, self.n, self.near, self.far, self.pivot_weight
-        width = self.width
         cand_set = frozenset(self.view.cand_bases)
         ops = 0
-        x = np.full((4, width), -1, dtype=np.int32)
+        x = np.full((4, self.width), -1, dtype=np.int32)
+        y = np.full((4, self.width), -1, dtype=np.int32)
         x[0, self.offset] = 0  # empty pair: difference 0, no flags
+        live = [0]  # flag layers some pair can already occupy, ascending
         for i in range(1, n + 1):
             near_w = w[i + near - 1]
             far_w = w[i + far - 1]
-            new_x = x.copy()
-            code = np.full((4, width), 255, dtype=np.uint8)
-            for layer in range(4):
-                code[layer][x[layer] >= 0] = layer  # carry, parent = same layer
-            ops += 4 * width
+            lo0, hi0 = bands[i - 1]
+            lo, hi = bands[i]
+            # y holds row i-2, whose band and layers lie inside row i-1's;
+            # everything outside them is still -1
+            code = np.full((4, hi - lo + 1), 255, dtype=np.uint8)
+            for layer in live:
+                src_vals = x[layer, lo0:hi0 + 1]
+                y[layer, lo0:hi0 + 1] = src_vals
+                code[layer, lo0 - lo:hi0 - lo + 1][src_vals >= 0] = layer  # carry
+                ops += hi0 - lo0 + 1
             # far-set extension: difference shifts down by far_w; writes below
             # -2*cap fall off the window (they cannot belong to an optimal
             # pair of this regime).  Processed before near extensions; both
             # use the larger-total rule, so order only settles ties.
-            if far_w > 0:
+            grown = set(live)
+            span = hi0 - far_w - lo + 1
+            if far_w > 0 and span > 0:
                 sets_heavy = far_w >= v
-                span = width - far_w
-                if span > 0:
-                    for src in range(4):
-                        tgt = (src | 1) if sets_heavy else src
-                        src_vals = x[src][far_w:]
-                        dest = new_x[tgt][:span]
-                        mask = (src_vals >= 0) & (src_vals + far_w > dest)
-                        dest[mask] = src_vals[mask] + far_w
-                        code[tgt][:span][mask] = 8 + src  # take_far
-                        ops += span
+                for src in live:
+                    tgt = (src | 1) if sets_heavy else src
+                    src_vals = x[src, lo + far_w:hi0 + 1]
+                    dest = y[tgt, lo:lo + span]
+                    mask = (src_vals >= 0) & (src_vals + far_w > dest)
+                    dest[mask] = src_vals[mask] + far_w
+                    code[tgt, :span][mask] = 8 + src  # take_far
+                    ops += span
+                if sets_heavy:
+                    grown |= {layer | 1 for layer in live}
             # near-set extension: only candidate bases; difference shifts up.
             if 0 < near_w and i in cand_set:
                 sets_exact = near_w == v
-                span = width - near_w
-                for src in range(4):
+                for src in live:
                     tgt = (src | 2) if sets_exact else src
-                    src_vals = x[src][:span]
-                    dest = new_x[tgt][near_w:]
+                    src_vals = x[src, lo0:hi0 + 1]
+                    dest = y[tgt, lo0 + near_w:hi + 1]
                     mask = (src_vals >= 0) & (src_vals + near_w > dest)
                     dest[mask] = src_vals[mask] + near_w
-                    code[tgt][near_w:][mask] = 4 + src  # take_near
-                    ops += span
-            self._steps.append(code)
-            x = new_x
+                    code[tgt, lo0 + near_w - lo:][mask] = 4 + src  # take_near
+                    ops += hi0 - lo0 + 1
+                if sets_exact:
+                    grown |= {layer | 2 for layer in live}
+            live = sorted(grown)
+            self._steps.append((lo, code))
+            x, y = y, x
         self.final = x
-        ops += width  # final scan
+        lo, hi = bands[n]
+        self._final_band = (lo, hi)
+        ops += hi - lo + 1  # final scan
         if counter is not None:
             counter.add(ops)
 
@@ -229,6 +273,12 @@ class DifferenceTable:
             raise ValueError(f"difference {diff} outside window [-{2 * self.cap}, {self.cap}]")
         return col
 
+    def _code(self, row: int, layer: int, col: int) -> int:
+        """Decision code of a cell in rows 1..n; 255 (empty) outside its band."""
+        start, code = self._steps[row - 1]
+        k = col - start
+        return int(code[layer, k]) if 0 <= k < code.shape[1] else 255
+
     def occupied(self, row: int, diff: int, has_pivot_value: bool, has_heavy: bool) -> bool:
         layer = self._layer(has_pivot_value, has_heavy)
         col = self._column(diff)
@@ -236,7 +286,7 @@ class DifferenceTable:
             return layer == 0 and diff == 0
         if not 1 <= row <= self.n:
             raise ValueError(f"row {row} out of range 0..{self.n}")
-        return self._steps[row - 1][layer][col] != 255
+        return self._code(row, layer, col) != 255
 
     def cell(self, row: int, diff: int, has_pivot_value: bool, has_heavy: bool) -> DpCell:
         """Cell view with its stored total; only the final row keeps totals."""
@@ -267,7 +317,7 @@ class DifferenceTable:
         s2: set[int] = set()
         r, l, c = self.n, layer, col
         while r > 0:
-            code = int(self._steps[r - 1][l][c])
+            code = self._code(r, l, c)
             if code == 255:
                 raise AssertionError("backtracking reached an unoccupied cell")
             decision, parent = divmod(code, 4)
@@ -315,11 +365,12 @@ class DifferenceTable:
         The ratio of a cell is (total+|d|)/(total-|d|), the larger sum over
         the smaller, compared exactly.
         """
-        totals = self.final[3]
+        lo, hi = self._final_band
+        totals = self.final[3, lo:hi + 1]
         cols = np.nonzero(totals >= 0)[0]
         if cols.size == 0:
             return None
-        diffs = cols.astype(np.int64) - self.offset
+        diffs = cols.astype(np.int64) + (lo - self.offset)
         tot = totals[cols].astype(np.int64)
         num = tot + np.abs(diffs)
         den = tot - np.abs(diffs)
@@ -334,7 +385,7 @@ class DifferenceTable:
                 best = cand
         assert best is not None
         diff = best[2]
-        total = int(totals[diff + self.offset])
+        total = int(totals[diff + self.offset - lo])
         return diff, total
 
 
@@ -381,7 +432,11 @@ def _solve_one_side(
 
 
 def exact_solver(
-    weights: Sequence[int], m: int, counter: OpCounter | None = None
+    weights: Sequence[int],
+    m: int,
+    counter: OpCounter | None = None,
+    *,
+    memo: dict | None = None,
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Exact pivoted optimum: integer weights (zeros allowed), 1-based pivot m.
 
@@ -389,6 +444,11 @@ def exact_solver(
     (extensions must strictly raise the stored total and the flag bits need
     weight >= the pivot weight >= 1), so they are carried harmlessly.
     Returns two frozensets; both empty means infeasible.
+
+    A per-side search depends only on the weights, the near side and the
+    pivot weight, so pivots of equal weight share it.  `memo`, a dict the
+    caller keeps for calls on the same `weights`, stores each side's result
+    by (near side, pivot weight); a repeated side costs no cells.
     """
     if len(weights) % 2 != 0 or not weights:
         raise ValueError("flattened weight list must have positive even length")
@@ -402,12 +462,20 @@ def exact_solver(
     if pivot_weight < 1:
         raise ValueError("pivot weight must be >= 1")
 
+    memo = {} if memo is None else memo
+
+    def search(side: int) -> tuple[frozenset[int], frozenset[int]] | None:
+        key = (side, pivot_weight)
+        if key not in memo:
+            memo[key] = _solve_one_side(weights, n, side, pivot_weight, counter)
+        return memo[key]
+
     near = 0 if m <= n else n
-    best = _solve_one_side(weights, n, near, pivot_weight, counter)
+    best = search(near)
     far = n - near
     # the pivot weight may also be realised on the opposite side
     if any(weights[i + far - 1] == pivot_weight for i in range(1, n + 1)):
-        other = _solve_one_side(weights, n, far, pivot_weight, counter)
+        other = search(far)
         if _strictly_better(weights, other, best):
             best = other
     if best is None:

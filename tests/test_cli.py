@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ssratio.cli import main, random_two_set
@@ -125,6 +126,25 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    def test_oversized_table_refused_before_allocation(self, tmp_path, capsys, monkeypatch):
+        # pivot 1 scales to cap 1.8e8: an 8 GiB table if it were allocated
+        real_full = np.full
+
+        def refuse_large(shape, *args, **kwargs):
+            assert np.prod(shape) <= 1 << 24, f"allocation of {shape} requested"
+            return real_full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", refuse_large)
+        path = write_instance(
+            tmp_path, "big.json",
+            {"format": 1, "problem": "two-set", "pairs": [[1, 5], [5, 5], [5, 5]]},
+        )
+        code, out, err = run(capsys, "solve", path, "--epsilon", "0.0000001")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot solve at epsilon 1/10000000: ")
+        assert err.count("\n") == 1 and "bytes" in err
 
 
 class TestOracle:
@@ -294,7 +314,7 @@ class TestBench:
                 assert float(ratio_to_opt) >= 1.0
 
     @pytest.mark.parametrize("flag,value", [
-        ("--weight-max", "0"), ("--trials", "0"), ("--trials", "-3"),
+        ("--weight-max", "0"), ("--trials", "0"), ("--trials", "-3"), ("--oracle-cap", "-1"),
     ])
     def test_bad_counts_exit_cleanly(self, capsys, flag, value):
         code, out, err = run(capsys, "bench", "--sizes", "3", flag, value)

@@ -23,6 +23,7 @@ from ssratio import (
     scale_instance,
     scaled_pair_value,
 )
+from ssratio import semi_restricted
 from conftest import GUARANTEE_EPSILONS, random_pairs
 
 
@@ -168,6 +169,45 @@ class TestDriver:
         counter = OpCounter()
         res = fptas_solve(inst, Fraction(1, 2), counter=counter)
         assert res.dp_cell_ops == counter.cells > 0
+
+
+class TestSideCache:
+    """The built-in solver shares per-side searches across pivots of equal
+    value; a custom `exact=` solver is called without that cache."""
+
+    def instances(self):
+        rng = random.Random(61)
+        for n in (2, 4, 6):
+            yield encode_ssr_weights([rng.randint(1, 40) for _ in range(n)])
+        yield encode_ssr_weights([7] * 6)
+        yield TwoSetInstance.from_pairs([(5, 5)] * 4)
+        for _ in range(6):
+            pairs = random_pairs(rng, rng.randint(2, 6), 15)
+            pairs[-1] = (pairs[-1][0], pairs[0][0])  # a value on both sides
+            yield TwoSetInstance.from_pairs(pairs)
+
+    def test_cached_matches_uncached(self):
+        for inst in self.instances():
+            for eps in (Fraction(1, 10), Fraction(1, 2)):
+                cached = fptas_solve(inst, eps)
+                uncached = fptas_solve(inst, eps, exact=exact_solver)
+                assert cached.solution == uncached.solution, inst.weights
+                assert cached.value == uncached.value
+                assert cached.pivot_used == uncached.pivot_used
+
+    def test_no_table_is_built_twice(self, monkeypatch):
+        built = []
+
+        class Recording(semi_restricted.DifferenceTable):
+            def __init__(self, weights, n, near, pivot_weight, counter=None):
+                built.append((tuple(weights), near, pivot_weight))
+                super().__init__(weights, n, near, pivot_weight, counter)
+
+        monkeypatch.setattr(semi_restricted, "DifferenceTable", Recording)
+        for inst in self.instances():
+            built.clear()
+            fptas_solve(inst, Fraction(1, 4))
+            assert built and len(built) == len(set(built)), inst.weights
 
 
 class TestScalingChecks:

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ssratio import (
@@ -17,6 +18,7 @@ from ssratio import (
     brute_force_semi_restricted,
     check_feasible_semi_restricted,
     exact_solver,
+    scale_instance,
     semi_restricted_optima_by_value,
 )
 from ssratio.semi_restricted import _heavy_singleton, _side_view
@@ -127,6 +129,19 @@ class TestSolve:
         with pytest.raises(ValueError):
             exact_solver([1, Fraction(1, 2)], 1)  # non-integer weight
 
+    def test_oversized_table_refused_before_allocation(self, monkeypatch):
+        # pivot 1 of [[1,5],[5,5],[5,5]] at epsilon 1e-7 scales to cap 1.8e8
+        ctx = scale_instance(flat([(1, 5), (5, 5), (5, 5)]), 1, Fraction(1, 10**7))
+        real_full = np.full
+
+        def refuse_large(shape, *args, **kwargs):
+            assert np.prod(shape) <= 1 << 24, f"allocation of {shape} requested"
+            return real_full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", refuse_large)
+        with pytest.raises(ValueError, match="bytes, over the"):
+            exact_solver(ctx.scaled, 1)
+
     def test_zero_weights_are_tolerated_but_never_used(self):
         s1, s2 = exact_solver([3, 0, 0, 3], 1)
         assert (s1, s2) == (frozenset({1}), frozenset({4}))
@@ -186,18 +201,20 @@ class TestOracleEquivalence:
 # ---------------------------------------------------------------------------
 
 
-def reference_cells(weights, n, near, pivot_weight):
+def reference_cells(weights, n, near, pivot_weight, rows=None):
     """Independent enumeration of everything the table may contain.
 
     A pair qualifies iff its near set uses only candidate elements and the
     running difference (processing bases in order) never drops below
-    -2*cap.  Returns {(diff, has_pivot, has_heavy): max total}.
+    -2*cap.  Only bases 1..rows are offered (all n by default), which gives
+    the cells of row `rows`.  Returns {(diff, has_pivot, has_heavy): max
+    total} and the cap.
     """
     far = n - near
     cand = {i for i in range(1, n + 1) if weights[i + near - 1] <= pivot_weight}
     cap = sum(weights[i + near - 1] for i in cand)
     best: dict[tuple[int, bool, bool], int] = {}
-    for assign in product((0, 1, 2), repeat=n):
+    for assign in product((0, 1, 2), repeat=n if rows is None else rows):
         if any(choice == 1 and base not in cand for base, choice in enumerate(assign, 1)):
             continue
         diff = total = 0
@@ -250,6 +267,20 @@ class TestDifferenceTable:
                         if cell.occupied:
                             got[(diff, hp, hh)] = cell.total
             assert got == want, (weights, n, near, v)
+
+    def test_inner_rows_match_reference(self, dp_battery):
+        # every row, every column of the window: cells outside a row's
+        # stored band read as unoccupied
+        for weights, n, near, v in self.tables(dp_battery):
+            table = DifferenceTable(weights, n, near, v)
+            for row in range(n + 1):
+                want, _ = reference_cells(weights, n, near, v, rows=row)
+                for col in range(table.width):
+                    diff = col - table.offset
+                    for hp in (False, True):
+                        for hh in (False, True):
+                            got = table.occupied(row, diff, hp, hh)
+                            assert got == ((diff, hp, hh) in want), (weights, near, v, row, diff)
 
     def test_reconstruction_discipline(self, dp_battery):
         # reconstruct every occupied final-row cell; the walk itself asserts
