@@ -23,9 +23,17 @@ Each per-side search splits into two regimes:
 
 Table writes follow the larger-total-sum rule: a cell is overwritten only
 when unoccupied or strictly beaten on total sum, so filled cells dominate
-every pair ever offered to them.  Each row touches only its live band of
-differences and the flag layers already reachable, and stores decision
-codes for that band alone; ``dp_cell_ops`` counts the cells touched.
+every pair ever offered to them.  The fill realises the rule with packed
+int32 keys, total * 8 + priority, and one numpy maximum per extension
+phase over all live flag layers.  A target layer's candidates rank carry
+first, then far extensions, then near extensions, each by ascending
+source layer, and get priority 6 - rank, so the maximum keeps the first
+candidate with the largest total, ties included.  An empty cell holds
+-2**31; each row stores its 3-bit priorities (7: empty) as uint8 and a
+fixed per-row plan maps them back to decision codes.  Each row touches
+only its live band of differences and the flag layers already reachable,
+and stores codes for that band alone; ``dp_cell_ops`` counts the cells
+touched.
 Total work is O(n^2 * pivot_weight) cell operations.
 ``exact_solver(weights, m)`` is the one entry point: it takes the flat
 integer weight list and a 1-based pivot, runs both regimes per side and
@@ -48,7 +56,7 @@ __all__ = [
     "exact_solver",
 ]
 
-# Largest DifferenceTable, in bytes of row buffers and decision codes.
+# Largest DifferenceTable, in bytes of row buffers, scratch and decision codes.
 MAX_TABLE_BYTES = 2 << 30
 
 # ---------------------------------------------------------------------------
@@ -134,6 +142,106 @@ class DpCell:
         return cls(False)
 
 
+# Keys are total * 8 + priority (see DifferenceTable).  An empty cell holds
+# _EMPTY, and sums built on it stay negative (see _keys_fit_int32).
+_EMPTY = np.iinfo(np.int32).min
+_CARRY = 6          # priority of the carry, the first candidate of every layer
+_NO_CELL = 7        # stored priority of an empty cell
+
+# Flag layers some pair of a row can occupy; each set is one basic slice.
+_LIVE_SETS = ((0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3))
+
+
+def _as_slice(layers: Sequence[int]) -> slice:
+    step = layers[1] - layers[0] if len(layers) > 1 else 1
+    assert list(layers) == list(range(layers[0], layers[-1] + 1, step))
+    return slice(layers[0], layers[-1] + 1, step)
+
+
+_LIVE_SLICES = tuple(_as_slice(live) for live in _LIVE_SETS)
+
+
+@dataclass(frozen=True)
+class _RowPlan:
+    """The numpy work of one row, fixed by its live set and flag bits.
+
+    `far` and `near` hold one (source layers, target layers, priorities)
+    pass per group of sources with distinct targets; two sources that
+    share a target go to separate passes.  `lut[layer][priority]` is the
+    decision code stored for the candidate of that priority (255: none).
+    `after[far ran][near ran]` indexes the next row's live set.
+    """
+
+    far: tuple[tuple[slice, slice, np.ndarray], ...]
+    near: tuple[tuple[slice, slice, np.ndarray], ...]
+    lut: tuple[tuple[int, ...], ...]
+    after: tuple[tuple[int, int], tuple[int, int]]
+
+
+def _row_plan(live: tuple[int, ...], far_bit: int, near_bit: int) -> _RowPlan:
+    # decision codes: carry = layer, take_near = 4 + source, take_far = 8 + source
+    order: list[list[int]] = [[] for _ in range(4)]
+    for layer in live:
+        order[layer].append(layer)
+    for src in live:
+        order[src | far_bit].append(8 + src)
+    for src in live:
+        order[src | near_bit].append(4 + src)
+    lut = [[255] * 8 for _ in range(4)]
+    for layer, codes in enumerate(order):
+        for rank, code in enumerate(codes):
+            lut[layer][_CARRY - rank] = code
+
+    def passes(bit: int, decision: int) -> tuple[tuple[slice, slice, np.ndarray], ...]:
+        groups: list[list[int]] = [[], []]
+        for src in live:
+            taken = any(s | bit == src | bit for s in groups[0])
+            groups[taken].append(src)
+        return tuple(
+            (
+                _as_slice(srcs),
+                _as_slice([s | bit for s in srcs]),
+                np.array([[_CARRY - order[s | bit].index(decision + s)] for s in srcs], np.int32),
+            )
+            for srcs in groups
+            if srcs
+        )
+
+    def after(far_ran: bool, near_ran: bool) -> int:
+        grown = set(live)
+        grown |= {s | far_bit for s in live if far_ran}
+        grown |= {s | near_bit for s in live if near_ran}
+        return _LIVE_SETS.index(tuple(sorted(grown)))
+
+    return _RowPlan(
+        passes(far_bit, 8),
+        passes(near_bit, 4),
+        tuple(map(tuple, lut)),
+        tuple((after(f, False), after(f, True)) for f in (False, True)),
+    )
+
+
+# _ROW_PLANS[live set][far element heavy][near element pivot-valued]
+_ROW_PLANS = tuple(
+    tuple(tuple(_row_plan(live, heavy, exact) for exact in (0, 2)) for heavy in (0, 1))
+    for live in _LIVE_SETS
+)
+
+
+def _keys_fit_int32(cap: int) -> bool:
+    """Whether every key of a table with this cap stays inside int32.
+
+    An occupied key is below 8 * (7 * cap + 1) + 6.  An empty cell starts
+    at _EMPTY, and each row adds at most 8 * (its element's weight) plus a
+    priority that the row end clears again; along any chain of rows the
+    near weights add up to at most cap and the far weights, whose shifts
+    keep the column inside the 3 * cap + 1 wide window, to at most
+    4 * cap + 1, so an empty chain stays below
+    _EMPTY + 8 * (cap + 4 * cap + 1) + 6, which must stay negative.
+    """
+    return 8 * (7 * cap + 1) + 6 < 2**31 and _EMPTY + 8 * (cap + 4 * cap + 1) + 6 < 0
+
+
 class DifferenceTable:
     """DP table over (row, sum difference, flag pair) for one side search.
 
@@ -149,11 +257,20 @@ class DifferenceTable:
     Row i can only occupy its live band of columns,
     [offset - min(2*cap, far prefix sum), offset + candidate near prefix
     sum], and only the flag layers some earlier row could set.  The fill
-    touches nothing else: it swaps two full-width total rows and keeps,
-    per row, the uint8 decision codes of that row's band with the band's
-    first column.  The counter gets the cells actually touched.  The
-    memory a table needs is predicted from the bands before anything is
-    allocated, and a table over MAX_TABLE_BYTES is refused.
+    touches nothing else.  It works on int32 keys, total * 8 + priority,
+    with _EMPTY for an empty cell, in two (4, width) row buffers that it
+    swaps and a (4, final band) scratch buffer: per row one add
+    for the carry and, per extension phase, one add into the scratch and
+    one maximum over all live layers (a second pair where two source
+    layers share a target).  The priority is 6 - rank, where rank orders
+    a target layer's candidates as carry, far extensions, near extensions,
+    each by ascending source layer, so the maximum keeps the first
+    candidate with the largest total.  At row end the 3-bit priorities
+    of the band (7: empty) are stored as uint8 with the band's first
+    column, and cleared from the keys; the row's plan maps a priority
+    back to its decision code.  The counter gets the cells actually
+    touched.  The memory a table needs is predicted from the bands before
+    anything is allocated, and a table over MAX_TABLE_BYTES is refused.
     """
 
     def __init__(
@@ -177,13 +294,14 @@ class DifferenceTable:
         self.offset = 2 * self.cap
         self.width = 3 * self.cap + 1
         bands = self._bands()
-        need = 2 * 4 * self.width * 4 + sum(4 * (hi - lo + 1) for lo, hi in bands[1:])
-        # the limit also keeps every total (below 7*cap + 1) inside int32
+        need = self._predicted_bytes(bands)
         if need > MAX_TABLE_BYTES:
             raise ValueError(
                 f"difference table needs {need} bytes, over the {MAX_TABLE_BYTES}-byte limit"
             )
-        self._steps: list[tuple[int, np.ndarray]] = []
+        if not _keys_fit_int32(self.cap):
+            raise ValueError(f"difference table cap {self.cap} overflows int32 keys")
+        self._steps: list[tuple[int, np.ndarray, tuple[tuple[int, ...], ...]]] = []
         self._fill(bands, counter)
 
     def _bands(self) -> list[tuple[int, int]]:
@@ -199,63 +317,74 @@ class DifferenceTable:
             bands.append((lo, hi))
         return bands
 
+    def _predicted_bytes(self, bands: list[tuple[int, int]]) -> int:
+        """Bytes of the two row buffers, the scratch and the band codes."""
+        lo, hi = bands[-1]  # the widest band
+        codes = sum(hi - lo + 1 for lo, hi in bands[1:])
+        return 2 * 4 * self.width * 4 + 4 * (hi - lo + 1) * 4 + 4 * codes
+
     def _fill(self, bands: list[tuple[int, int]], counter: OpCounter | None) -> None:
         w, n, near, far, v = self.weights, self.n, self.near, self.far, self.pivot_weight
         cand_set = frozenset(self.view.cand_bases)
         ops = 0
-        x = np.full((4, self.width), -1, dtype=np.int32)
-        y = np.full((4, self.width), -1, dtype=np.int32)
+        x = np.full((4, self.width), _EMPTY, dtype=np.int32)
+        y = np.full((4, self.width), _EMPTY, dtype=np.int32)
+        z = np.empty((4, bands[n][1] - bands[n][0] + 1), dtype=np.int32)
         x[0, self.offset] = 0  # empty pair: difference 0, no flags
-        live = [0]  # flag layers some pair can already occupy, ascending
+        live = 0  # index into _LIVE_SETS
         for i in range(1, n + 1):
             near_w = w[i + near - 1]
             far_w = w[i + far - 1]
             lo0, hi0 = bands[i - 1]
             lo, hi = bands[i]
+            plan = _ROW_PLANS[live][far_w >= v][near_w == v]
+            count = len(_LIVE_SETS[live])
             # y holds row i-2, whose band and layers lie inside row i-1's;
-            # everything outside them is still -1
-            code = np.full((4, hi - lo + 1), 255, dtype=np.uint8)
-            for layer in live:
-                src_vals = x[layer, lo0:hi0 + 1]
-                y[layer, lo0:hi0 + 1] = src_vals
-                code[layer, lo0 - lo:hi0 - lo + 1][src_vals >= 0] = layer  # carry
-                ops += hi0 - lo0 + 1
+            # everything outside them is still _EMPTY
+            layers = _LIVE_SLICES[live]
+            np.add(x[layers, lo0:hi0 + 1], _CARRY, out=y[layers, lo0:hi0 + 1])
+            ops += count * (hi0 - lo0 + 1)
             # far-set extension: difference shifts down by far_w; writes below
             # -2*cap fall off the window (they cannot belong to an optimal
-            # pair of this regime).  Processed before near extensions; both
-            # use the larger-total rule, so order only settles ties.
-            grown = set(live)
+            # pair of this regime)
             span = hi0 - far_w - lo + 1
-            if far_w > 0 and span > 0:
-                sets_heavy = far_w >= v
-                for src in live:
-                    tgt = (src | 1) if sets_heavy else src
-                    src_vals = x[src, lo + far_w:hi0 + 1]
+            far_on = far_w > 0 and span > 0
+            if far_on:
+                for src, tgt, prio in plan.far:
+                    buf = z[:len(prio), :span]
+                    np.add(x[src, lo + far_w:hi0 + 1], prio + 8 * far_w, out=buf)
                     dest = y[tgt, lo:lo + span]
-                    mask = (src_vals >= 0) & (src_vals + far_w > dest)
-                    dest[mask] = src_vals[mask] + far_w
-                    code[tgt, :span][mask] = 8 + src  # take_far
-                    ops += span
-                if sets_heavy:
-                    grown |= {layer | 1 for layer in live}
-            # near-set extension: only candidate bases; difference shifts up.
-            if 0 < near_w and i in cand_set:
-                sets_exact = near_w == v
-                for src in live:
-                    tgt = (src | 2) if sets_exact else src
-                    src_vals = x[src, lo0:hi0 + 1]
+                    np.maximum(dest, buf, out=dest)
+                ops += count * span
+            # near-set extension: only candidate bases; difference shifts up
+            near_on = near_w > 0 and i in cand_set
+            if near_on:
+                for src, tgt, prio in plan.near:
+                    buf = z[:len(prio), :hi0 - lo0 + 1]
+                    np.add(x[src, lo0:hi0 + 1], prio + 8 * near_w, out=buf)
                     dest = y[tgt, lo0 + near_w:hi + 1]
-                    mask = (src_vals >= 0) & (src_vals + near_w > dest)
-                    dest[mask] = src_vals[mask] + near_w
-                    code[tgt, lo0 + near_w - lo:][mask] = 4 + src  # take_near
-                    ops += hi0 - lo0 + 1
-                if sets_exact:
-                    grown |= {layer | 2 for layer in live}
-            live = sorted(grown)
-            self._steps.append((lo, code))
+                    np.maximum(dest, buf, out=dest)
+                ops += count * (hi0 - lo0 + 1)
+            live = plan.after[far_on][near_on]
+            # store the band's priorities, 7 for a negative (empty) key, then
+            # clear them from the keys
+            layers = _LIVE_SLICES[live]
+            keys = y[layers, lo:hi + 1]
+            low = z[:len(_LIVE_SETS[live]), :hi - lo + 1]
+            # (np.maximum with a scalar -1 does the same, but numpy 2 runs
+            # a scalar maximum far slower than these two)
+            np.right_shift(keys, 31, out=low)
+            np.bitwise_or(low, keys, out=low)  # negative keys become -1
+            code = np.full((4, hi - lo + 1), _NO_CELL, dtype=np.uint8)
+            stored = code[layers]
+            np.copyto(stored, low, casting="unsafe")  # the low byte
+            np.bitwise_and(stored, 7, out=stored)
+            np.bitwise_and(keys, -8, out=keys)
+            self._steps.append((lo, code, plan.lut))
             x, y = y, x
-        self.final = x
         lo, hi = bands[n]
+        np.right_shift(x[:, lo:hi + 1], 3, out=x[:, lo:hi + 1])  # keys to totals
+        self.final = x
         self._final_band = (lo, hi)
         ops += hi - lo + 1  # final scan
         if counter is not None:
@@ -275,9 +404,9 @@ class DifferenceTable:
 
     def _code(self, row: int, layer: int, col: int) -> int:
         """Decision code of a cell in rows 1..n; 255 (empty) outside its band."""
-        start, code = self._steps[row - 1]
+        start, code, lut = self._steps[row - 1]
         k = col - start
-        return int(code[layer, k]) if 0 <= k < code.shape[1] else 255
+        return lut[layer][code[layer, k]] if 0 <= k < code.shape[1] else 255
 
     def occupied(self, row: int, diff: int, has_pivot_value: bool, has_heavy: bool) -> bool:
         layer = self._layer(has_pivot_value, has_heavy)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,18 +189,18 @@ class TestCheck:
     def test_tampered_ratio_fails(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")
         run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--output", sol)
-        doc = json.loads(open(sol).read())
+        doc = json.loads(Path(sol).read_text())
         doc["ratio"] = "7/5"
-        open(sol, "w").write(json.dumps(doc))
+        Path(sol).write_text(json.dumps(doc))
         code, _, err = run(capsys, "check", worked_two_set, sol)
         assert code == 1 and "ratio" in err
 
     def test_tampered_sets_fail(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")
         run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--output", sol)
-        doc = json.loads(open(sol).read())
+        doc = json.loads(Path(sol).read_text())
         doc["s1"] = [2]
-        open(sol, "w").write(json.dumps(doc))
+        Path(sol).write_text(json.dumps(doc))
         code, _, _ = run(capsys, "check", worked_two_set, sol)
         assert code == 1
 
@@ -210,7 +211,7 @@ class TestCheck:
         sol = str(tmp_path / "huge.sol")
         code, _, _ = run(capsys, "solve", inst, "--epsilon", "0.5", "--output", sol)
         assert code == 0
-        doc = json.loads(open(sol).read())
+        doc = json.loads(Path(sol).read_text())
         assert doc["ratio"] == "1" + "0" * 400 and doc["ratio_decimal"] is None
         code, out, _ = run(capsys, "check", inst, sol)
         assert code == 0 and out.strip() == "OK"
@@ -218,9 +219,9 @@ class TestCheck:
     def test_null_ratio_decimal_needs_overflow(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")
         run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--output", sol)
-        doc = json.loads(open(sol).read())
+        doc = json.loads(Path(sol).read_text())
         doc["ratio_decimal"] = None
-        open(sol, "w").write(json.dumps(doc))
+        Path(sol).write_text(json.dumps(doc))
         code, _, err = run(capsys, "check", worked_two_set, sol)
         assert code == 1 and "ratio_decimal" in err
 
@@ -228,9 +229,9 @@ class TestCheck:
         sol = str(tmp_path / "sol.json")
         run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--output", sol)
         for field, value in (("sum1", "not-a-number"), ("s1_side", None), ("s1_side", 3)):
-            doc = json.loads(open(sol).read())
+            doc = json.loads(Path(sol).read_text())
             doc[field] = value
-            open(sol, "w").write(json.dumps(doc))
+            Path(sol).write_text(json.dumps(doc))
             code, _, err = run(capsys, "check", worked_two_set, sol)
             assert code == 1 and err
 
@@ -250,18 +251,18 @@ class TestCheck:
         sol = str(tmp_path / "sol.json")
         run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--timings", "--output", sol)
         assert run(capsys, "check", worked_two_set, sol)[0] == 0
-        doc = json.loads(open(sol).read())
+        doc = json.loads(Path(sol).read_text())
         doc.update(edits)
-        open(sol, "w").write(json.dumps(doc))
+        Path(sol).write_text(json.dumps(doc))
         code, out, err = run(capsys, "check", worked_two_set, sol)
         assert code == 1 and out == "" and err.startswith("check failed:")
 
     def test_oracle_stats_must_be_zero(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")
         run(capsys, "oracle", worked_two_set, "--output", sol)
-        doc = json.loads(open(sol).read())
+        doc = json.loads(Path(sol).read_text())
         doc["stats"]["dp_cell_ops"] = 7
-        open(sol, "w").write(json.dumps(doc))
+        Path(sol).write_text(json.dumps(doc))
         code, _, err = run(capsys, "check", worked_two_set, sol)
         assert code == 1 and "stats" in err
 

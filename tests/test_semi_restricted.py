@@ -21,7 +21,12 @@ from ssratio import (
     scale_instance,
     semi_restricted_optima_by_value,
 )
-from ssratio.semi_restricted import _heavy_singleton, _side_view
+from ssratio.semi_restricted import (
+    MAX_TABLE_BYTES,
+    _heavy_singleton,
+    _keys_fit_int32,
+    _side_view,
+)
 from conftest import random_pairs
 
 
@@ -319,6 +324,155 @@ class TestDifferenceTable:
                 solve(pairs, m, counter)
                 pivot_weight = flat(pairs)[m - 1]
                 assert counter.cells <= 100 * n * n * pivot_weight + 200
+
+
+def reference_fill(weights, n, near, pivot_weight):
+    """Reference for DifferenceTable's fill: a sequential per-layer kernel.
+
+    Writes each candidate in turn (carry, far extensions, near extensions,
+    each by ascending source layer) with the sequential strict-> rule.
+    Returns the decision codes of rows 1..n as an (n, 4, width) array (255:
+    empty), the final totals (-1: empty), the cells touched, and what the
+    fill met: each row's live layers, candidates that tied a stored total,
+    zero weights and far weights that fell off the window.
+    """
+    far = n - near
+    view = _side_view(weights, n, near, pivot_weight)
+    cand_set = frozenset(view.cand_bases)
+    cap, v = view.cap, pivot_weight
+    width, offset = 3 * cap + 1, 2 * cap
+    seen = {"live": set(), "ties": 0, "zeros": 0, "fell_off": 0}
+    codes = np.full((n, 4, width), 255, dtype=np.int16)
+    x = np.full((4, width), -1, dtype=np.int64)
+    x[0, offset] = 0
+    live = [0]
+    lo = hi = offset
+    ops = 0
+    for i in range(1, n + 1):
+        near_w, far_w = weights[i + near - 1], weights[i + far - 1]
+        seen["live"].add(tuple(live))
+        seen["zeros"] += (near_w == 0) + (far_w == 0)
+        lo0, hi0 = lo, hi
+        lo = max(0, lo0 - far_w)
+        hi = hi0 + (near_w if i in cand_set else 0)
+        y = np.full((4, width), -1, dtype=np.int64)
+        code = codes[i - 1]
+        for layer in live:
+            y[layer, lo0:hi0 + 1] = x[layer, lo0:hi0 + 1]
+            code[layer, lo0:hi0 + 1][x[layer, lo0:hi0 + 1] >= 0] = layer  # carry
+            ops += hi0 - lo0 + 1
+        grown = set(live)
+        span = hi0 - far_w - lo + 1
+        if far_w > 0 and span <= 0:
+            seen["fell_off"] += 1
+        if far_w > 0 and span > 0:
+            for src in live:
+                tgt = (src | 1) if far_w >= v else src
+                src_vals = x[src, lo + far_w:hi0 + 1]
+                dest = y[tgt, lo:lo + span]
+                seen["ties"] += int(((src_vals >= 0) & (src_vals + far_w == dest)).sum())
+                mask = (src_vals >= 0) & (src_vals + far_w > dest)
+                dest[mask] = src_vals[mask] + far_w
+                code[tgt, lo:lo + span][mask] = 8 + src  # take_far
+                ops += span
+            if far_w >= v:
+                grown |= {layer | 1 for layer in live}
+        if near_w > 0 and i in cand_set:
+            for src in live:
+                tgt = (src | 2) if near_w == v else src
+                src_vals = x[src, lo0:hi0 + 1]
+                dest = y[tgt, lo0 + near_w:hi + 1]
+                seen["ties"] += int(((src_vals >= 0) & (src_vals + near_w == dest)).sum())
+                mask = (src_vals >= 0) & (src_vals + near_w > dest)
+                dest[mask] = src_vals[mask] + near_w
+                code[tgt, lo0 + near_w:hi + 1][mask] = 4 + src  # take_near
+                ops += hi0 - lo0 + 1
+            if near_w == v:
+                grown |= {layer | 2 for layer in live}
+        live = sorted(grown)
+        x = y
+    ops += hi - lo + 1  # final scan
+    return codes, x, ops, seen
+
+
+def decoded_codes(table):
+    """The table's decision codes of rows 1..n as an (n, 4, width) array."""
+    out = np.full((table.n, 4, table.width), 255, dtype=np.int16)
+    for row, (start, code, lut) in enumerate(table._steps):
+        lut = np.asarray(lut, dtype=np.int16)
+        out[row, :, start:start + code.shape[1]] = lut[np.arange(4)[:, None], code]
+    return out
+
+
+class TestPackedKernel:
+    def instances(self):
+        rng = random.Random(0x5EED)
+        # base 1 is (v, v): its row both sets the heavy flag and adds a
+        # pivot-valued element, so the live set jumps from (0) to (0, 1, 2)
+        yield (4, 1, 3, 4, 2, 1), 3, 0, 4
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            kind = rng.randrange(4)
+            if kind == 0:  # all equal: every candidate of a cell ties
+                weights = [rng.randint(1, 5)] * (2 * n)
+            elif kind == 1:  # a few repeated values, zeros among them
+                weights = [rng.choice((0, 0, 1, 2, 3, 3)) for _ in range(2 * n)]
+            elif kind == 2:  # far weights far beyond the window
+                weights = [rng.choice((1, 2, 3, 90)) for _ in range(2 * n)]
+            else:
+                weights = [rng.randint(0, 12) for _ in range(2 * n)]
+            for near in (0, n):
+                values = sorted({w for w in weights[near:near + n] if w >= 1})
+                for v in values:
+                    yield tuple(weights), n, near, v
+
+    def test_matches_reference_kernel(self):
+        met = {"live": set(), "ties": 0, "zeros": 0, "fell_off": 0}
+        for weights, n, near, v in self.instances():
+            counter = OpCounter()
+            table = DifferenceTable(weights, n, near, v, counter)
+            codes, final, ops, seen = reference_fill(weights, n, near, v)
+            where = (weights, n, near, v)
+            assert counter.cells == ops, where
+            assert (decoded_codes(table) == codes).all(), where
+            lo, hi = table._final_band
+            got = np.where(table.final >= 0, table.final, -1)
+            assert (got[:, lo:hi + 1] == final[:, lo:hi + 1]).all(), where
+            assert (final[:, :lo] == -1).all() and (final[:, hi + 1:] == -1).all(), where
+            met["live"] |= seen["live"]
+            for key in ("ties", "zeros", "fell_off"):
+                met[key] += seen[key]
+        assert met["live"] == {(0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3)}
+        assert met["ties"] > 0 and met["zeros"] > 0 and met["fell_off"] > 0
+
+    def test_int32_headroom_at_byte_limit(self):
+        # the row buffers alone take 2 * 4 * 4 bytes per column of the
+        # 3 * cap + 1 wide window, so no admitted table has a larger cap
+        cap = (MAX_TABLE_BYTES // 32 - 1) // 3
+        assert 2 * 4 * 4 * (3 * cap + 1) <= MAX_TABLE_BYTES
+        assert 8 * (7 * cap + 1) + 6 < 2**31  # largest occupied key
+        assert -(2**31) + 8 * (cap + 4 * cap + 1) + 6 < 0  # an empty chain stays empty
+        assert _keys_fit_int32(cap)
+        assert not _keys_fit_int32((2**31 - 14) // 56 + 1)
+
+    def test_predicted_bytes_match_allocations(self, monkeypatch):
+        allocated = []
+        for name in ("full", "empty"):
+            real = getattr(np, name)
+
+            def record(*args, _real=real, **kwargs):
+                array = _real(*args, **kwargs)
+                allocated.append(array.nbytes)
+                return array
+
+            monkeypatch.setattr(np, name, record)
+        rng = random.Random(3)
+        for _ in range(20):
+            pairs = random_pairs(rng, rng.randint(1, 8), 30)
+            weights, n = flat(pairs), len(pairs)
+            allocated.clear()
+            table = DifferenceTable(weights, n, 0, weights[0])
+            assert sum(allocated) == table._predicted_bytes(table._bands()), pairs
 
 
 class TestRegimesAgree:
