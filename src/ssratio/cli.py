@@ -418,8 +418,11 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     if not s1 or not s2:
         problems.append("feasible solutions need both sets nonempty")
         return problems
-    if any(not isinstance(i, int) or not 1 <= i <= n for i in s1 + s2):
+    if any(type(i) is not int or not 1 <= i <= n for i in s1 + s2):
         problems.append(f"indices must be integers in 1..{n}")
+        return problems
+    if len(set(s1)) != len(s1) or len(set(s2)) != len(s2):
+        problems.append("an index repeats within a set")
         return problems
     if set(s1) & set(s2):
         problems.append("sets must be disjoint")

@@ -1,9 +1,10 @@
 """Approximation driver built on a pluggable exact pivoted solver.
 
 For every pivot index m the driver rescales the instance by
-delta = epsilon * w_m / (3N), floors each weight to an integer, solves the
-pivoted problem exactly on the scaled instance, and evaluates the
-returned sets on the ORIGINAL weights.  The best value over all pivots is
+delta = epsilon * w_m / (3N), floors each weight to an integer (in integer
+arithmetic on numerators and denominators), solves the pivoted problem
+exactly on the scaled instance, and evaluates the returned sets on the
+ORIGINAL weights.  The best value over all pivots is
 within a factor (1 + epsilon) of the true optimum whenever a feasible
 solution exists; the bound is certified in exact rationals.
 
@@ -16,8 +17,10 @@ the driver calls the solver once per distinct (value, side), at the first
 pivot with that key.  Pivots of equal value on opposite sides share the
 scaled weights too: the built-in solver gets one memo per pivot value, so
 each per-side search (and its DP table) runs once per (value, near side).
-A custom `exact=` solver gets no memo and is still called once per
-(value, side).
+When the scaled weights of both sides are equal, as in the ssr encoding
+and factor-r with r = 1, the solver mirrors one side's search into the
+other, so one table is built per pivot value.  A custom `exact=` solver
+gets no memo and is still called once per (value, side).
 
 The driver sees only two-set instances: the plain and factor-r problems
 reach it through ssratio.reductions (encode, fptas_solve, decode).
@@ -74,11 +77,15 @@ class ScaleContext:
 def scale_instance(
     weights: Sequence[RationalLike], m: int, epsilon: RationalLike
 ) -> ScaleContext:
-    """Build the scaled integer instance for one pivot."""
+    """Build the scaled integer instance for one pivot.
+
+    Each weight v = a/b is floored as floor(v / delta) = (a * q) // (b * p)
+    with delta = p/q in lowest terms, so no Fraction is divided per weight.
+    """
     w = [parse_rational(v) for v in weights]
     if not w:
         raise ValueError("cannot scale an empty instance")
-    if any(v <= 0 for v in w):
+    if any(v.numerator <= 0 for v in w):
         raise ValueError("weights must be strictly positive")
     if not 1 <= m <= len(w):
         raise ValueError(f"pivot {m} out of range 1..{len(w)}")
@@ -87,8 +94,9 @@ def scale_instance(
         raise ValueError("epsilon must lie strictly between 0 and 1")
     count = len(w)
     delta = eps * w[m - 1] / (3 * count)
-    scaled = tuple(math.floor(v / delta) for v in w)
-    assert scaled[m - 1] == math.floor(Fraction(3 * count) / eps) >= 3 * count
+    p, q = delta.numerator, delta.denominator
+    scaled = tuple(v.numerator * q // (v.denominator * p) for v in w)
+    assert scaled[m - 1] == 3 * count * eps.denominator // eps.numerator >= 3 * count
     return ScaleContext(m, eps, delta, scaled)
 
 

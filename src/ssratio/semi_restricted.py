@@ -32,9 +32,15 @@ candidate with the largest total, ties included.  An empty cell holds
 -2**31; each row stores its 3-bit priorities (7: empty) as uint8 and a
 fixed per-row plan maps them back to decision codes.  Each row touches
 only its live band of differences and the flag layers already reachable,
-and stores codes for that band alone; ``dp_cell_ops`` counts the cells
-touched.
+and stores codes for that band alone, as a column slice of one code
+buffer per table; ``dp_cell_ops`` counts the cells touched.
 Total work is O(n^2 * pivot_weight) cell operations.
+
+When both sides carry the same weights (the ssr encoding, factor-r with
+r = 1), the search for one side is the other side's search with every
+index moved to the other half, so ``exact_solver`` runs only one of them
+and mirrors its result into the other.
+
 ``exact_solver(weights, m)`` is the one entry point: it takes the flat
 integer weight list and a 1-based pivot, runs both regimes per side and
 returns the better pair as two index frozensets.  Wrap them with
@@ -242,6 +248,11 @@ def _keys_fit_int32(cap: int) -> bool:
     return 8 * (7 * cap + 1) + 6 < 2**31 and _EMPTY + 8 * (cap + 4 * cap + 1) + 6 < 0
 
 
+def _code_columns(bands: list[tuple[int, int]]) -> int:
+    """Columns of the table's code buffer: the bands of rows 1..n side by side."""
+    return sum(hi - lo + 1 for lo, hi in bands[1:])
+
+
 class DifferenceTable:
     """DP table over (row, sum difference, flag pair) for one side search.
 
@@ -268,7 +279,9 @@ class DifferenceTable:
     candidate with the largest total.  At row end the 3-bit priorities
     of the band (7: empty) are stored as uint8 with the band's first
     column, and cleared from the keys; the row's plan maps a priority
-    back to its decision code.  The counter gets the cells actually
+    back to its decision code.  The codes of all rows share one
+    (4, summed band widths) buffer, allocated once per table; each row
+    stores into its own column slice.  The counter gets the cells actually
     touched.  The memory a table needs is predicted from the bands before
     anything is allocated, and a table over MAX_TABLE_BYTES is refused.
     """
@@ -320,8 +333,7 @@ class DifferenceTable:
     def _predicted_bytes(self, bands: list[tuple[int, int]]) -> int:
         """Bytes of the two row buffers, the scratch and the band codes."""
         lo, hi = bands[-1]  # the widest band
-        codes = sum(hi - lo + 1 for lo, hi in bands[1:])
-        return 2 * 4 * self.width * 4 + 4 * (hi - lo + 1) * 4 + 4 * codes
+        return 2 * 4 * self.width * 4 + 4 * (hi - lo + 1) * 4 + 4 * _code_columns(bands)
 
     def _fill(self, bands: list[tuple[int, int]], counter: OpCounter | None) -> None:
         w, n, near, far, v = self.weights, self.n, self.near, self.far, self.pivot_weight
@@ -330,6 +342,8 @@ class DifferenceTable:
         x = np.full((4, self.width), _EMPTY, dtype=np.int32)
         y = np.full((4, self.width), _EMPTY, dtype=np.int32)
         z = np.empty((4, bands[n][1] - bands[n][0] + 1), dtype=np.int32)
+        codes = np.full((4, _code_columns(bands)), _NO_CELL, dtype=np.uint8)
+        start = 0
         x[0, self.offset] = 0  # empty pair: difference 0, no flags
         live = 0  # index into _LIVE_SETS
         for i in range(1, n + 1):
@@ -375,7 +389,8 @@ class DifferenceTable:
             # a scalar maximum far slower than these two)
             np.right_shift(keys, 31, out=low)
             np.bitwise_or(low, keys, out=low)  # negative keys become -1
-            code = np.full((4, hi - lo + 1), _NO_CELL, dtype=np.uint8)
+            code = codes[:, start:start + hi - lo + 1]
+            start += hi - lo + 1
             stored = code[layers]
             np.copyto(stored, low, casting="unsafe")  # the low byte
             np.bitwise_and(stored, 7, out=stored)
@@ -560,6 +575,15 @@ def _solve_one_side(
     return dp_sets
 
 
+def _mirrored(
+    sets: tuple[frozenset[int], frozenset[int]] | None, n: int
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """A side's result with every index moved to the other half."""
+    if sets is None:
+        return None
+    return tuple(frozenset(i + n if i <= n else i - n for i in part) for part in sets)
+
+
 def exact_solver(
     weights: Sequence[int],
     m: int,
@@ -577,7 +601,11 @@ def exact_solver(
     A per-side search depends only on the weights, the near side and the
     pivot weight, so pivots of equal weight share it.  `memo`, a dict the
     caller keeps for calls on the same `weights`, stores each side's result
-    by (near side, pivot weight); a repeated side costs no cells.
+    by (near side, pivot weight); a repeated side costs no cells.  When
+    weights[:n] == weights[n:], a side whose twin (the other near side, same
+    pivot weight) is already in the memo takes the twin's result with every
+    index shifted by n, at no cells: both sides then have the same view and
+    the same table.
     """
     if len(weights) % 2 != 0 or not weights:
         raise ValueError("flattened weight list must have positive even length")
@@ -596,7 +624,11 @@ def exact_solver(
     def search(side: int) -> tuple[frozenset[int], frozenset[int]] | None:
         key = (side, pivot_weight)
         if key not in memo:
-            memo[key] = _solve_one_side(weights, n, side, pivot_weight, counter)
+            twin = (n - side, pivot_weight)
+            if twin in memo and weights[:n] == weights[n:]:
+                memo[key] = _mirrored(memo[twin], n)
+            else:
+                memo[key] = _solve_one_side(weights, n, side, pivot_weight, counter)
         return memo[key]
 
     near = 0 if m <= n else n

@@ -11,11 +11,12 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-from ssratio import DifferenceTable, OpCounter, TwoSetInstance, fptas_solve
+from ssratio import DifferenceTable, OpCounter, TwoSetInstance, cli, fptas_solve
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -84,3 +85,29 @@ def test_result_hooks_read_existing_fields(tracing):
     oracle_before((inst,), {}, info)
     assert info["states"] == 9
 
+
+@pytest.mark.parametrize("doc", [
+    {"format": 1, "problem": "ssr", "weights": [3, 5, 7, 5, 9]},
+    {"format": 1, "problem": "two-set", "pairs": [[5, 4], [3, 6], [5, 7]]},
+])
+def test_traced_solve_keeps_the_benchmark_invariants(tracing, tmp_path, doc):
+    # what `perfbench/run.py --trace 1` asserts of every traced case; a
+    # repeated weight makes pivots share a search but not a scale_instance call
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+
+    def solve(name):
+        out = tmp_path / name
+        assert cli.main(["solve", str(inst), "--epsilon", "1/4", "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    plain = solve("plain.sol.json")
+    tracer = tracing.Tracer()
+    tracer.instance = "case"
+    with tracer.installed(), tracer.span("request.solve"):
+        traced = solve("traced.sol.json")
+    assert traced == plain
+    stats = json.loads(plain)["stats"]
+    metrics = tracing.layer_metrics(tracer.spans, {"case": doc["problem"]})
+    assert metrics["fptas.scale_calls"][0] == stats["pivots_evaluated"]
+    assert metrics["semi_restricted.cells"][0] == stats["dp_cell_ops"] > 0

@@ -236,25 +236,42 @@ class TestCheck:
             assert code == 1 and err
 
 
-    @pytest.mark.parametrize("edits", [
-        {"pivot_used": 3, "epsilon": "9/10", "bound": "19/10",
-         "stats": {"pivots_evaluated": -5, "dp_cell_ops": "x"}},
-        {"pivot_used": 3},
-        {"pivot_used": 99},
-        {"pivot_used": None},
-        {"pivot_used": True},
-        {"stats": [4, 0]},
-        {"stats": {"pivots_evaluated": 5, "dp_cell_ops": 0}},
-        {"stats": {"pivots_evaluated": 4, "dp_cell_ops": 0, "wall_time_ms": -1}},
-    ])
-    def test_tampered_pivot_and_stats_fail(self, worked_two_set, tmp_path, capsys, edits):
+    TAMPERED = [
+        (None, {"pivot_used": 3, "epsilon": "9/10", "bound": "19/10",
+                "stats": {"pivots_evaluated": -5, "dp_cell_ops": "x"}}),
+        (None, {"pivot_used": 3}),
+        (None, {"pivot_used": 99}),
+        (None, {"pivot_used": None}),
+        (None, {"pivot_used": True}),
+        (None, {"stats": [4, 0]}),
+        (None, {"stats": {"pivots_evaluated": 5, "dp_cell_ops": 0}}),
+        (None, {"stats": {"pivots_evaluated": 4, "dp_cell_ops": 0, "wall_time_ms": -1}}),
+        # 5 + 5 against 3 + 7 holds every other claim, but index 2 counts twice
+        ([3, 5, 7, 9], {"s1": [2, 2], "s2": [1, 3], "sum1": "10", "sum2": "10",
+                        "ratio": "1", "pivot_used": 2}),
+        # 5 + 7 against 3 + 9, with index 1 written as true
+        ([3, 5, 7, 9], {"s1": [2, 3], "s2": [True, 4], "sum1": "12", "sum2": "12",
+                        "ratio": "1", "pivot_used": 3}),
+    ]
+
+    @pytest.mark.parametrize(
+        "ssr_weights, edits", TAMPERED, ids=[f"edits{k}" for k in range(len(TAMPERED))]
+    )
+    def test_tampered_pivot_and_stats_fail(
+        self, worked_two_set, tmp_path, capsys, ssr_weights, edits
+    ):
+        inst = worked_two_set
+        if ssr_weights is not None:
+            inst = write_instance(
+                tmp_path, "ssr.json", {"format": 1, "problem": "ssr", "weights": ssr_weights}
+            )
         sol = str(tmp_path / "sol.json")
-        run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--timings", "--output", sol)
-        assert run(capsys, "check", worked_two_set, sol)[0] == 0
+        run(capsys, "solve", inst, "--epsilon", "0.5", "--timings", "--output", sol)
+        assert run(capsys, "check", inst, sol)[0] == 0
         doc = json.loads(Path(sol).read_text())
         doc.update(edits)
         Path(sol).write_text(json.dumps(doc))
-        code, out, err = run(capsys, "check", worked_two_set, sol)
+        code, out, err = run(capsys, "check", inst, sol)
         assert code == 1 and out == "" and err.startswith("check failed:")
 
     def test_oracle_stats_must_be_zero(self, worked_two_set, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -55,6 +56,31 @@ class TestScaleInstance:
             for i, j in product(range(count), repeat=2):
                 if weights[i] < weights[j]:
                     assert ctx.scaled[i] <= ctx.scaled[j]
+
+    def test_integer_floor_matches_fraction_reference(self):
+        def reference(weights, m, eps):
+            # the Fraction expression scale_instance used before flooring in integers
+            w = [Fraction(v) for v in weights]
+            delta = eps * w[m - 1] / (3 * len(w))
+            return tuple(math.floor(v / delta) for v in w)
+
+        rng = random.Random(29)
+        cases = []
+        for _ in range(40):
+            count = 2 * rng.randint(1, 6)
+            weights = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)) for _ in range(count)]
+            cases.append((weights, Fraction(rng.randint(1, 99), 100)))
+        extremes = ["1e308", "1e-308", "3", "7/2"]
+        for eps in ("1/2", "1e-10", "1e-30", "9/10"):
+            cases.append((extremes, Fraction(eps)))
+        cases.append(([1, 1, 10**9, 10**12], Fraction(1, 10)))  # weights that floor to 0
+        zeros = 0
+        for weights, eps in cases:
+            for m in range(1, len(weights) + 1):
+                scaled = scale_instance(weights, m, eps).scaled
+                assert scaled == reference(weights, m, eps), (weights, m, eps)
+                zeros += scaled.count(0)
+        assert zeros > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -181,10 +207,16 @@ class TestSideCache:
             yield encode_ssr_weights([rng.randint(1, 40) for _ in range(n)])
         yield encode_ssr_weights([7] * 6)
         yield TwoSetInstance.from_pairs([(5, 5)] * 4)
+        for r in (1, Fraction(3, 2)):
+            yield encode_factor_r_weights([rng.randint(1, 30) for _ in range(5)], r)
         for _ in range(6):
             pairs = random_pairs(rng, rng.randint(2, 6), 15)
             pairs[-1] = (pairs[-1][0], pairs[0][0])  # a value on both sides
             yield TwoSetInstance.from_pairs(pairs)
+
+    @staticmethod
+    def symmetric(inst):
+        return inst.weights[:inst.n] == inst.weights[inst.n:]
 
     def test_cached_matches_uncached(self):
         for inst in self.instances():
@@ -204,10 +236,49 @@ class TestSideCache:
                 super().__init__(weights, n, near, pivot_weight, counter)
 
         monkeypatch.setattr(semi_restricted, "DifferenceTable", Recording)
+        eps = Fraction(1, 4)
         for inst in self.instances():
             built.clear()
-            fptas_solve(inst, Fraction(1, 4))
+            fptas_solve(inst, eps)
             assert built and len(built) == len(set(built)), inst.weights
+            if self.symmetric(inst):
+                # a side's search mirrors its twin's, so one table per pivot value
+                assert len(built) == len(set(inst.weights)), inst.weights
+                continue
+            # otherwise every (pivot value, side) the pivot value occurs on
+            # gets a table when the other side holds a weight at least as large
+            expected = set()
+            for m in range(1, 2 * inst.n + 1):
+                scaled = scale_instance(inst.weights, m, eps).scaled
+                v = scaled[m - 1]
+                for near in (0, inst.n):
+                    far = inst.n - near
+                    if v in scaled[near:near + inst.n] and max(scaled[far:far + inst.n]) >= v:
+                        expected.add((scaled, near, v))
+            assert set(built) == expected, inst.weights
+
+    def test_mirrored_sides_match_a_fresh_search(self):
+        # on symmetric weights one side of each memo is mirrored from the
+        # other (test_no_table_is_built_twice counts the tables); both must
+        # equal a search run from scratch, sets and all
+        rng = random.Random(67)
+        instances = [encode_ssr_weights([rng.randint(1, 60) for _ in range(rng.randint(2, 7))])
+                     for _ in range(8)]
+        instances += [encode_ssr_weights([9] * 5), TwoSetInstance.from_pairs([(4, 4)] * 3)]
+        instances += [encode_factor_r_weights([rng.randint(1, 25) for _ in range(5)], 1)
+                      for _ in range(3)]
+        for inst in instances:
+            assert self.symmetric(inst)
+            for eps in (Fraction(1, 10), Fraction(1, 2)):
+                memos: dict[Fraction, dict] = {}
+                for m in range(1, 2 * inst.n + 1):
+                    scaled = scale_instance(inst.weights, m, eps).scaled
+                    memo = memos.setdefault(inst.weights[m - 1], {})
+                    exact_solver(scaled, m, memo=memo)
+                    assert len(memo) == 2
+                    for (side, v), result in memo.items():
+                        fresh = semi_restricted._solve_one_side(scaled, inst.n, side, v, None)
+                        assert result == fresh, (inst.weights, m, side)
 
 
 class TestScalingChecks:
@@ -302,10 +373,10 @@ class TestConvenienceFrontends:
         for _ in range(10):
             weights = [rng.randint(1, 15) for _ in range(rng.randint(1, 5))]
             eps = Fraction(1, 4)
-            assert (
-                fptas_solve(encode_factor_r_weights(weights, 1), eps).value
-                == fptas_solve(encode_ssr_weights(weights), eps).value
-            )
+            factor = fptas_solve(encode_factor_r_weights(weights, 1), eps)
+            ssr = fptas_solve(encode_ssr_weights(weights), eps)
+            assert factor.value == ssr.value
+            assert factor.dp_cell_ops == ssr.dp_cell_ops
 
 
 class TestClosedFormOptima:
