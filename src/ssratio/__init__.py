@@ -35,7 +35,6 @@ from .semi_restricted import (
 )
 from .fptas import (
     ApproxResult,
-    ExactSolver,
     PivotLog,
     ScaleContext,
     check_optimum_scaling,
@@ -73,7 +72,6 @@ __all__ = [
     "DpCell",
     "exact_solver",
     "ApproxResult",
-    "ExactSolver",
     "PivotLog",
     "ScaleContext",
     "check_optimum_scaling",

@@ -26,7 +26,7 @@ from typing import Any, Sequence
 
 from .core import SolutionPair, TwoSetInstance, parse_rational
 from . import oracle as oracle_mod
-from .fptas import fptas_solve
+from .fptas import ApproxResult, fptas_solve
 from .reductions import decode, encode_factor_r_weights, encode_ssr_weights
 
 FORMAT_VERSION = 1
@@ -67,17 +67,24 @@ def _positive_rational(raw: Any, what: str) -> Fraction:
     return value
 
 
-def load_instance(path: str) -> dict[str, Any]:
-    """Parse and validate an instance file into a normalized dict."""
+def _read_json(path: str, what: str) -> dict[str, Any]:
+    """The JSON object in a file; unreadable, undecodable, invalid or too
+    deeply nested input becomes one CliError naming the `what` file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed instance file: invalid JSON ({exc})") from exc
+        raise CliError(f"cannot read {what} file: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 errors
+        raise CliError(f"malformed {what} file: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise CliError("malformed instance file: top level must be an object")
+        raise CliError(f"malformed {what} file: top level must be an object")
+    return doc
+
+
+def load_instance(path: str) -> dict[str, Any]:
+    """Parse and validate an instance file into a normalized dict."""
+    doc = _read_json(path, "instance")
     if doc.get("format") != FORMAT_VERSION:
         raise CliError(f"malformed instance file: expected \"format\": {FORMAT_VERSION}")
     problem = doc.get("problem")
@@ -220,15 +227,20 @@ def _parse_epsilon(raw: str) -> Fraction:
     return eps
 
 
+def _solve(encoded: TwoSetInstance, eps: Fraction, collect_log: bool = False) -> ApproxResult:
+    """fptas_solve; a table too large to build (a tiny epsilon) becomes a CliError."""
+    try:
+        return fptas_solve(encoded, eps, collect_log=collect_log)
+    except ValueError as exc:
+        raise CliError(f"cannot solve at epsilon {eps}: {exc}") from exc
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     eps = _parse_epsilon(args.epsilon)
     encoded = _encode(instance)
     started = time.perf_counter()
-    try:
-        result = fptas_solve(encoded, eps, collect_log=args.trace)
-    except ValueError as exc:
-        raise CliError(f"cannot solve at epsilon {eps}: {exc}") from exc
+    result = _solve(encoded, eps, collect_log=args.trace)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     stats: dict[str, Any] = {
         "pivots_evaluated": result.pivots_evaluated,
@@ -327,7 +339,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 optimum = oracle_mod.brute_force_two_set(inst, max_n=args.oracle_cap).optimum
             for eps in epsilons:
                 started = time.perf_counter()
-                result = fptas_solve(inst, eps)
+                result = _solve(inst, eps)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 ratio_to_opt = ""
                 opt_str = ""
@@ -404,6 +416,10 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     pivot_ok = type(pivot) is int and 1 <= pivot <= 2 * n
     if mode == "fptas" and not (pivot is None if status == "infeasible" else pivot_ok):
         problems.append(f"pivot_used must be null when infeasible, else an integer in 1..{2 * n}")
+    pivot_m = doc.get("pivot_m")
+    pivot_m_ok = type(pivot_m) is int and 1 <= pivot_m <= 2 * n
+    if "pivot_m" in doc and not pivot_m_ok:
+        problems.append(f"pivot_m must be an integer in 1..{2 * n}")
     s1 = doc.get("s1")
     s2 = doc.get("s2")
     if not isinstance(s1, list) or not isinstance(s2, list):
@@ -447,6 +463,10 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
 
     w1 = [lookup(i, role1) for i in s1]
     w2 = [lookup(j, role2) for j in s2]
+    if pivot_m_ok:
+        # oracle --m: the smaller set maximum is the encoded element's weight
+        if min(max(w1), max(w2)) != lookup((pivot_m - 1) % n + 1, side_roles[pivot_m > n]):
+            problems.append(f"the smaller set maximum is not the weight of pivot_m {pivot_m}")
     sum1, sum2 = sum(w1), sum(w2)
     stated1 = parse_rational(doc.get("sum1", "0"))
     stated2 = parse_rational(doc.get("sum2", "0"))
@@ -494,15 +514,7 @@ def _stats_problems(stats: Any, mode: str, count: int) -> list[str]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    try:
-        with open(args.solution, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read solution file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed solution file: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise CliError("malformed solution file: top level must be an object")
+    doc = _read_json(args.solution, "solution")
     try:
         problems = verify_solution(instance, doc)
     except (ValueError, TypeError) as exc:

@@ -147,7 +147,7 @@ class TwoSetInstance:
             raise ValueError(f"expected {2 * self.n} weights, got {len(self.weights)}")
         for w in self.weights:
             if not isinstance(w, Fraction):
-                raise ValueError("weights must be Fractions; use from_pairs/from_weights")
+                raise ValueError("weights must be Fractions; use from_pairs")
             if w <= 0:
                 raise ValueError("all weights must be strictly positive")
 
@@ -159,13 +159,6 @@ class TwoSetInstance:
         firsts = tuple(a for a, _ in listed)
         seconds = tuple(b for _, b in listed)
         return cls(len(listed), firsts + seconds)
-
-    @classmethod
-    def from_weights(cls, weights: Sequence[RationalLike]) -> "TwoSetInstance":
-        w = tuple(parse_rational(v) for v in weights)
-        if len(w) % 2 != 0:
-            raise ValueError("flattened weight list must have even length")
-        return cls(len(w) // 2, w)
 
     def weight(self, i: int) -> Fraction:
         _check_index(i, 2 * self.n)

@@ -1,26 +1,20 @@
-"""Approximation driver built on a pluggable exact pivoted solver.
+"""Approximation driver built on the exact pivoted solver.
 
 For every pivot index m the driver rescales the instance by
 delta = epsilon * w_m / (3N), floors each weight to an integer (in integer
 arithmetic on numerators and denominators), solves the pivoted problem
-exactly on the scaled instance, and evaluates the returned sets on the
-ORIGINAL weights.  The best value over all pivots is
-within a factor (1 + epsilon) of the true optimum whenever a feasible
-solution exists; the bound is certified in exact rationals.
+exactly on the scaled instance with ssratio.semi_restricted.exact_solver,
+and evaluates the returned sets on the ORIGINAL weights.  The best value
+over all pivots is within a factor (1 + epsilon) of the true optimum
+whenever a feasible solution exists; the bound is certified in exact
+rationals.
 
-The exact solver is any callable taking (integer weight list, pivot index)
-and returning two index frozensets (both empty meaning infeasible) that
-are feasible and ratio-optimal for the pivoted problem on its input.  The
-built-in default is ssratio.semi_restricted.exact_solver.  Pivots sharing
-the same weight value and side produce identical scaled subproblems, so
-the driver calls the solver once per distinct (value, side), at the first
-pivot with that key.  Pivots of equal value on opposite sides share the
-scaled weights too: the built-in solver gets one memo per pivot value, so
-each per-side search (and its DP table) runs once per (value, near side).
-When the scaled weights of both sides are equal, as in the ssr encoding
-and factor-r with r = 1, the solver mirrors one side's search into the
-other, so one table is built per pivot value.  A custom `exact=` solver
-gets no memo and is still called once per (value, side).
+Pivots of equal weight value share the scaled weights, so the solver gets
+one memo per pivot value: each per-side search (and its DP table) runs once
+per (value, near side), and a repeated pivot costs no cells.  When the
+scaled weights of both sides are equal, as in the ssr encoding and
+factor-r with r = 1, the solver mirrors one side's search into the other,
+so one table is built per pivot value.
 
 The driver sees only two-set instances: the plain and factor-r problems
 reach it through ssratio.reductions (encode, fptas_solve, decode).
@@ -31,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     OpCounter,
@@ -44,7 +38,6 @@ from .core import (
 from .semi_restricted import exact_solver
 
 __all__ = [
-    "ExactSolver",
     "ScaleContext",
     "PivotLog",
     "ApproxResult",
@@ -54,9 +47,6 @@ __all__ = [
     "check_pivot_inequalities",
     "check_optimum_scaling",
 ]
-
-ExactSolver = Callable[[Sequence[int], int], tuple[frozenset[int], frozenset[int]]]
-
 
 @dataclass(frozen=True)
 class ScaleContext:
@@ -69,7 +59,6 @@ class ScaleContext:
     """
 
     m: int
-    epsilon: Fraction
     delta: Fraction
     scaled: tuple[int, ...]
 
@@ -97,7 +86,7 @@ def scale_instance(
     p, q = delta.numerator, delta.denominator
     scaled = tuple(v.numerator * q // (v.denominator * p) for v in w)
     assert scaled[m - 1] == 3 * count * eps.denominator // eps.numerator >= 3 * count
-    return ScaleContext(m, eps, delta, scaled)
+    return ScaleContext(m, delta, scaled)
 
 
 @dataclass(frozen=True)
@@ -146,7 +135,6 @@ def scaled_pair_value(ctx: ScaleContext, s1: frozenset[int], s2: frozenset[int])
 def fptas_solve(
     inst: TwoSetInstance,
     epsilon: RationalLike,
-    exact: ExactSolver | None = None,
     *,
     collect_log: bool = False,
     counter: OpCounter | None = None,
@@ -155,9 +143,8 @@ def fptas_solve(
 
     Iterates pivots m = 1..2n in ascending order, keeps the strictly best
     original-weight value (first pivot wins ties), and reports infeasible
-    only when every pivot does.  `exact` replaces the built-in pivoted
-    solver; the built-in one adds its cell operations to `counter`.
-    Deterministic.
+    only when every pivot does.  The exact solver adds its cell operations
+    to `counter`.  Deterministic.
     """
     eps = parse_rational(epsilon)
     if not 0 < eps < 1:
@@ -171,18 +158,10 @@ def fptas_solve(
     best_value = RatioValue.infinite()
     pivot_used: int | None = None
     log: list[PivotLog] = []
-    solved: dict[tuple[Fraction, bool], tuple[frozenset[int], frozenset[int]]] = {}
-    side_results: dict[Fraction, dict] = {}  # per pivot value: one scaled vector
+    memos: dict[Fraction, dict] = {}  # per pivot value: one scaled vector
     for m in range(1, count + 1):
         ctx = scale_instance(weights, m, eps)
-        key = (weights[m - 1], m <= inst.n)
-        if key not in solved:
-            if exact is None:
-                memo = side_results.setdefault(weights[m - 1], {})
-                solved[key] = exact_solver(ctx.scaled, m, ops, memo=memo)
-            else:
-                solved[key] = exact(ctx.scaled, m)
-        s1, s2 = solved[key]
+        s1, s2 = exact_solver(ctx.scaled, m, ops, memo=memos.setdefault(weights[m - 1], {}))
         if s1 and s2:
             pair = SolutionPair.from_sets(weights, s1, s2)
             value = pair.value()

@@ -90,11 +90,18 @@ class TestSolve:
 
 
 class TestInputErrors:
-    def test_malformed_json(self, tmp_path, capsys):
+    # invalid JSON, bytes that are not UTF-8, nesting deeper than the decoder recurses
+    MALFORMED = (b"{not json", b"\xff\xfe", b"[" * 200000 + b"]" * 200000)
+
+    def test_malformed_json(self, worked_two_set, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        code, _, err = run(capsys, "solve", str(path), "--epsilon", "0.5")
-        assert code == 1 and "malformed instance file" in err
+        for content in self.MALFORMED:
+            path.write_bytes(content)
+            for argv, what in ((["solve", str(path), "--epsilon", "0.5"], "instance"),
+                               (["check", worked_two_set, str(path)], "solution")):
+                code, out, err = run(capsys, *argv)
+                assert code == 1 and out == ""
+                assert err.startswith(f"error: malformed {what} file") and err.count("\n") == 1
 
     def test_epsilon_out_of_range(self, worked_two_set, capsys):
         for bad in ("0", "1", "2", "-0.5"):
@@ -274,6 +281,22 @@ class TestCheck:
         code, out, err = run(capsys, "check", inst, sol)
         assert code == 1 and out == "" and err.startswith("check failed:")
 
+    @pytest.mark.parametrize("pivot_m", [99, "x", None, 4])
+    def test_tampered_pivot_m_fails(self, tmp_path, capsys, pivot_m):
+        inst = write_instance(
+            tmp_path, "four.json",
+            {"format": 1, "problem": "two-set", "pairs": [[5, 4], [3, 6], [8, 2], [7, 7]]},
+        )
+        sol = str(tmp_path / "sol.json")
+        assert run(capsys, "oracle", inst, "--m", "1", "--output", sol)[0] == 0
+        assert run(capsys, "check", inst, sol)[0] == 0
+        doc = json.loads(Path(sol).read_text())
+        # with 4 the smaller set maximum is 5, but encoded element 4 weighs 7
+        doc["pivot_m"] = pivot_m
+        Path(sol).write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", inst, sol)
+        assert code == 1 and out == "" and err.startswith("check failed:") and "pivot_m" in err
+
     def test_oracle_stats_must_be_zero(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")
         run(capsys, "oracle", worked_two_set, "--output", sol)
@@ -333,6 +356,7 @@ class TestBench:
 
     @pytest.mark.parametrize("flag,value", [
         ("--weight-max", "0"), ("--trials", "0"), ("--trials", "-3"), ("--oracle-cap", "-1"),
+        ("--epsilons", "1e-8"),  # solvable only with a table over MAX_TABLE_BYTES
     ])
     def test_bad_counts_exit_cleanly(self, capsys, flag, value):
         code, out, err = run(capsys, "bench", "--sizes", "3", flag, value)

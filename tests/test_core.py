@@ -133,10 +133,6 @@ class TestInstances:
         with pytest.raises(ValueError):
             TwoSetInstance.from_pairs([])
 
-    def test_from_weights_needs_even_length(self):
-        with pytest.raises(ValueError):
-            TwoSetInstance.from_weights([1, 2, 3])
-
     def test_solution_pair_validation(self):
         with pytest.raises(ValueError):
             SolutionPair(frozenset({1}), frozenset({1}))

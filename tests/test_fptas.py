@@ -1,4 +1,4 @@
-"""Driver tests: scaling, guarantee, pluggable solver, determinism."""
+"""Driver tests: scaling, guarantee, side cache, determinism."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import pytest
 from ssratio import (
     OpCounter,
     RatioValue,
+    SolutionPair,
     TwoSetInstance,
     brute_force_two_set,
     check_optimum_scaling,
@@ -140,46 +141,6 @@ class TestDriver:
                     got = res.value.as_fraction()
                     assert 1 <= got <= (1 + eps) * opt.optimum.as_fraction()
 
-    def test_custom_exact_solver_interface(self):
-        # a tiny independent exact solver plugged through the interface
-        calls = []
-
-        def tiny_exact(weights, m):
-            calls.append(m)
-            n = len(weights) // 2
-            pivot = weights[m - 1]
-            best = None
-            best_key = None
-            for assign in product((0, 1, 2), repeat=n):
-                s1 = frozenset(b for b, c in enumerate(assign, 1) if c == 1)
-                s2 = frozenset(b + n for b, c in enumerate(assign, 1) if c == 2)
-                if not s1 or not s2:
-                    continue
-                if min(max(weights[i - 1] for i in s1), max(weights[j - 1] for j in s2)) != pivot:
-                    continue
-                sums = (sum(weights[i - 1] for i in s1), sum(weights[j - 1] for j in s2))
-                if 0 in sums:
-                    continue
-                key = Fraction(max(sums), min(sums))
-                if best_key is None or key < best_key:
-                    best, best_key = (s1, s2), key
-            return best if best is not None else (frozenset(), frozenset())
-
-        rng = random.Random(23)
-        for _ in range(12):
-            pairs = random_pairs(rng, rng.randint(1, 3), 12)
-            inst = TwoSetInstance.from_pairs(pairs)
-            eps = Fraction(rng.randint(1, 9), 10)
-            calls.clear()
-            via_custom = fptas_solve(inst, eps, exact=tiny_exact)
-            via_default = fptas_solve(inst, eps)
-            assert via_custom.value == via_default.value
-            # one call per distinct (pivot value, side), at its first pivot
-            first = {}
-            for m in range(1, 2 * inst.n + 1):
-                first.setdefault((inst.weight(m), m <= inst.n), m)
-            assert calls == list(first.values())
-
     def test_determinism(self):
         rng = random.Random(29)
         for _ in range(10):
@@ -198,8 +159,7 @@ class TestDriver:
 
 
 class TestSideCache:
-    """The built-in solver shares per-side searches across pivots of equal
-    value; a custom `exact=` solver is called without that cache."""
+    """The driver shares per-side searches across pivots of equal value."""
 
     def instances(self):
         rng = random.Random(61)
@@ -218,14 +178,26 @@ class TestSideCache:
     def symmetric(inst):
         return inst.weights[:inst.n] == inst.weights[inst.n:]
 
+    @staticmethod
+    def uncached_solve(inst, eps):
+        """Reference driver: every pivot solved afresh, with no memo."""
+        best, best_value, pivot_used = SolutionPair.empty(), RatioValue.infinite(), None
+        for m in range(1, 2 * inst.n + 1):
+            s1, s2 = exact_solver(scale_instance(inst.weights, m, eps).scaled, m)
+            if s1 and s2:
+                pair = SolutionPair.from_sets(inst.weights, s1, s2)
+                if pair.value() < best_value:
+                    best, best_value, pivot_used = pair, pair.value(), m
+        return best, best_value, pivot_used
+
     def test_cached_matches_uncached(self):
         for inst in self.instances():
             for eps in (Fraction(1, 10), Fraction(1, 2)):
                 cached = fptas_solve(inst, eps)
-                uncached = fptas_solve(inst, eps, exact=exact_solver)
-                assert cached.solution == uncached.solution, inst.weights
-                assert cached.value == uncached.value
-                assert cached.pivot_used == uncached.pivot_used
+                solution, value, pivot_used = self.uncached_solve(inst, eps)
+                assert cached.solution == solution, inst.weights
+                assert cached.value == value
+                assert cached.pivot_used == pivot_used
 
     def test_no_table_is_built_twice(self, monkeypatch):
         built = []

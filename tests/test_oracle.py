@@ -126,10 +126,11 @@ class TestStructuralProperties:
             )
             # scale around the overall minimum weight so no weight floors to 0
             anchor = min(range(1, 2 * instance.n + 1), key=instance.weight)
+            n = instance.n
             for eps in (Fraction(1, 3), Fraction(4, 5)):
                 ctx = scale_instance(instance.weights, anchor, eps)
                 assert all(v >= 1 for v in ctx.scaled)
-                mapped = TwoSetInstance.from_weights(ctx.scaled)
+                mapped = TwoSetInstance.from_pairs(zip(ctx.scaled[:n], ctx.scaled[n:]))
                 mapped_sol = SolutionPair.from_sets(ctx.scaled, best.s1, best.s2)
                 assert check_feasible_semi_restricted(mapped_sol, mapped, pivot)
 
