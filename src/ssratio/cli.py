@@ -142,24 +142,14 @@ def _present_sets(instance: dict[str, Any], sol: SolutionPair) -> dict[str, Any]
     """Base-index set presentation plus side labels where they apply."""
     problem = instance["problem"]
     n = len(instance["pairs" if problem == "two-set" else "weights"])
-    fields: dict[str, Any] = {}
+    decoded = decode(sol, problem, n)
+    fields: dict[str, Any] = {"s1": sorted(decoded.s1), "s2": sorted(decoded.s2)}
     if problem == "two-set":
-        def side_of(enc: frozenset[int]) -> str | None:
-            if not enc:
-                return None
-            return "a" if max(enc) <= n else "b"
-
-        fields["s1"] = sorted(i if i <= n else i - n for i in sol.s1)
-        fields["s2"] = sorted(i if i <= n else i - n for i in sol.s2)
-        fields["s1_side"] = side_of(sol.s1)
-        fields["s2_side"] = side_of(sol.s2)
-    else:
-        decoded = decode(sol, problem, n)
-        fields["s1"] = sorted(decoded.s1)
-        fields["s2"] = sorted(decoded.s2)
-        if problem == "factor-r":
-            fields["r"] = str(instance["r"])
-            fields["r_multiplied"] = decoded.r_multiplied
+        fields["s1_side"] = ("a" if max(sol.s1) <= n else "b") if sol.s1 else None
+        fields["s2_side"] = ("a" if max(sol.s2) <= n else "b") if sol.s2 else None
+    elif problem == "factor-r":
+        fields["r"] = str(instance["r"])
+        fields["r_multiplied"] = decoded.r_multiplied
     return fields
 
 
@@ -420,16 +410,33 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     pivot_m_ok = type(pivot_m) is int and 1 <= pivot_m <= 2 * n
     if "pivot_m" in doc and not pivot_m_ok:
         problems.append(f"pivot_m must be an integer in 1..{2 * n}")
+    if problem == "factor-r" and parse_rational(doc.get("r", "0")) != instance["r"]:
+        problems.append(f"stated r {doc.get('r')!r} differs from the instance's r {instance['r']}")
+    if mode == "fptas":
+        try:
+            eps = _parse_epsilon(str(doc.get("epsilon")))
+        except CliError:
+            problems.append("fptas solutions need a valid epsilon")
+            return problems
+        if parse_rational(doc.get("bound", "0")) != 1 + eps:
+            problems.append("bound must equal 1 + epsilon")
     s1 = doc.get("s1")
     s2 = doc.get("s2")
     if not isinstance(s1, list) or not isinstance(s2, list):
         problems.append("s1/s2 must be index lists")
         return problems
+    stated1 = parse_rational(doc.get("sum1", "0"))
+    stated2 = parse_rational(doc.get("sum2", "0"))
     if status == "infeasible":
         if s1 or s2:
             problems.append("infeasible solutions must have empty sets")
         if doc.get("ratio") != "inf":
             problems.append("infeasible solutions must state ratio inf")
+        if (stated1, stated2) != (0, 0) or doc.get("ratio_decimal") is not None:
+            problems.append("infeasible solutions must state sums 0 and ratio_decimal null")
+        labels = {"two-set": ("s1_side", "s2_side"), "factor-r": ("r_multiplied",)}.get(problem, ())
+        if any(doc.get(label) is not None for label in labels):
+            problems.append(f"infeasible solutions must have null {' and '.join(labels)}")
         return problems
     if not s1 or not s2:
         problems.append("feasible solutions need both sets nonempty")
@@ -468,8 +475,6 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
         if min(max(w1), max(w2)) != lookup((pivot_m - 1) % n + 1, side_roles[pivot_m > n]):
             problems.append(f"the smaller set maximum is not the weight of pivot_m {pivot_m}")
     sum1, sum2 = sum(w1), sum(w2)
-    stated1 = parse_rational(doc.get("sum1", "0"))
-    stated2 = parse_rational(doc.get("sum2", "0"))
     if (sum1, sum2) != (stated1, stated2):
         problems.append(f"stated sums {stated1}/{stated2} differ from recomputed {sum1}/{sum2}")
     recomputed = max(sum1, sum2) / min(sum1, sum2)
@@ -477,21 +482,13 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
         problems.append(f"stated ratio {doc.get('ratio')} differs from recomputed {recomputed}")
     if doc.get("ratio_decimal") != _ratio_decimal(recomputed):
         problems.append("ratio_decimal does not match the exact ratio")
-    if mode == "fptas":
-        try:
-            eps = _parse_epsilon(str(doc.get("epsilon")))
-        except CliError:
-            problems.append("fptas solutions need a valid epsilon")
-            return problems
-        if parse_rational(doc.get("bound", "0")) != 1 + eps:
-            problems.append("bound must equal 1 + epsilon")
-        if pivot_ok:
-            # pivot claim in scaled weights floor(w / delta), delta = epsilon *
-            # w_m / 6n: flooring can merge distinct original weights, so the
-            # claim on original weights fails for some correct outputs
-            per_delta = 6 * n / (eps * lookup((pivot - 1) % n + 1, side_roles[pivot > n]))
-            if min(math.floor(max(w) * per_delta) for w in (w1, w2)) != math.floor(6 * n / eps):
-                problems.append(f"the smaller set maximum does not scale to pivot {pivot}")
+    if mode == "fptas" and pivot_ok:
+        # pivot claim in scaled weights floor(w / delta), delta = epsilon *
+        # w_m / 6n: flooring can merge distinct original weights, so the
+        # claim on original weights fails for some correct outputs
+        per_delta = 6 * n / (eps * lookup((pivot - 1) % n + 1, side_roles[pivot > n]))
+        if min(math.floor(max(w) * per_delta) for w in (w1, w2)) != math.floor(6 * n / eps):
+            problems.append(f"the smaller set maximum does not scale to pivot {pivot}")
     return problems
 
 

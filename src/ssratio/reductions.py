@@ -6,8 +6,9 @@ disjointness of the source sets, and sums are unchanged, so the optima
 coincide.  Factor-r uses pairs (a_i, r*a_i): a second-side set's sum is
 already the r-multiplied sum of its base set, so again the objective
 carries over unchanged.  Decoding maps flattened indices back to base
-indices and, for factor-r, reports which decoded set plays the
-r-multiplied role (the solver may return either orientation).
+indices, of two-set solutions too, and, for factor-r, reports which
+decoded set plays the r-multiplied role (the solver may return either
+orientation).
 A source problem is solved by encode_*_weights, fptas_solve on the pair
 instance, then decode of its solution.
 """
@@ -60,13 +61,14 @@ def encode_factor_r_weights(weights: Sequence[RationalLike], r: RationalLike) ->
 
 
 def decode(sol: SolutionPair, source: str, n: int) -> DecodedSolution:
-    """Map an encoded solution back to base indices of the source problem.
+    """Map an encoded solution back to base indices of the source problem,
+    "two-set", "ssr" or "factor-r".
 
     The source objective is the encoded pair's own ``sol.value()``: its
     cached sums already include the factor for factor-r.  An empty pair
     decodes to an empty (infeasible) solution.
     """
-    if source not in ("ssr", "factor-r"):
+    if source not in ("two-set", "ssr", "factor-r"):
         raise ValueError(f"unknown source problem: {source!r}")
     if sol.is_empty:
         return DecodedSolution(frozenset(), frozenset())

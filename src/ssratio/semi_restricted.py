@@ -25,15 +25,16 @@ Table writes follow the larger-total-sum rule: a cell is overwritten only
 when unoccupied or strictly beaten on total sum, so filled cells dominate
 every pair ever offered to them.  The fill realises the rule with packed
 int32 keys, total * 8 + priority, and one numpy maximum per extension
-phase over all live flag layers.  A target layer's candidates rank carry
-first, then far extensions, then near extensions, each by ascending
-source layer, and get priority 6 - rank, so the maximum keeps the first
-candidate with the largest total, ties included.  An empty cell holds
--2**31; each row stores its 3-bit priorities (7: empty) as uint8 and a
-fixed per-row plan maps them back to decision codes.  Each row touches
-only its live band of differences and the flag layers already reachable,
-and stores codes for that band alone, as a column slice of one code
-buffer per table; ``dp_cell_ops`` counts the cells touched.
+phase over all live flag layers.  The carry gets priority 6, a far
+extension 5 and a near extension 3, one less from a source already
+holding the row's bit: a target layer's sequential order, carry, far,
+near, each by ascending source, so the maximum keeps the first candidate
+with the largest total, ties included.  An empty cell holds -2**31; each
+row stores its 3-bit priorities (7: empty) as uint8 and a fixed per-row
+plan maps them back to decision codes.  Each row touches only its live
+band of differences and the flag layers already reachable, and stores
+codes for that band alone, as a column slice of one code buffer per
+table; ``dp_cell_ops`` counts the cells touched.
 Total work is O(n^2 * pivot_weight) cell operations.
 
 When both sides carry the same weights (the ssr encoding, factor-r with
@@ -171,45 +172,33 @@ _LIVE_SLICES = tuple(_as_slice(live) for live in _LIVE_SETS)
 class _RowPlan:
     """The numpy work of one row, fixed by its live set and flag bits.
 
-    `far` and `near` hold one (source layers, target layers, priorities)
-    pass per group of sources with distinct targets; two sources that
-    share a target go to separate passes.  `lut[layer][priority]` is the
-    decision code stored for the candidate of that priority (255: none).
-    `after[far ran][near ran]` indexes the next row's live set.
+    `far` and `near` hold one (source layers, target layers, layer count,
+    priority) pass for the live sources without the row's bit and one for
+    those with it.  Priorities: carry 6, far extension 5, near extension 3,
+    one less from a source holding the bit.  Two sources of one kind share
+    a target only when the higher one alone holds the bit, so this is the
+    sequential order: carry, far, near, each by ascending source.
+    `lut[layer][priority]` is the decision code of that candidate (255:
+    none).  `after[far ran][near ran]` indexes the next row's live set.
     """
 
-    far: tuple[tuple[slice, slice, np.ndarray], ...]
-    near: tuple[tuple[slice, slice, np.ndarray], ...]
+    far: tuple[tuple[slice, slice, int, int], ...]
+    near: tuple[tuple[slice, slice, int, int], ...]
     lut: tuple[tuple[int, ...], ...]
     after: tuple[tuple[int, int], tuple[int, int]]
 
 
 def _row_plan(live: tuple[int, ...], far_bit: int, near_bit: int) -> _RowPlan:
     # decision codes: carry = layer, take_near = 4 + source, take_far = 8 + source
-    order: list[list[int]] = [[] for _ in range(4)]
-    for layer in live:
-        order[layer].append(layer)
-    for src in live:
-        order[src | far_bit].append(8 + src)
-    for src in live:
-        order[src | near_bit].append(4 + src)
-    lut = [[255] * 8 for _ in range(4)]
-    for layer, codes in enumerate(order):
-        for rank, code in enumerate(codes):
-            lut[layer][_CARRY - rank] = code
+    lut = tuple(
+        (255, 255, 4 + t, 4 + (t & ~near_bit), 8 + t, 8 + (t & ~far_bit), t, 255) for t in range(4)
+    )
 
-    def passes(bit: int, decision: int) -> tuple[tuple[slice, slice, np.ndarray], ...]:
-        groups: list[list[int]] = [[], []]
-        for src in live:
-            taken = any(s | bit == src | bit for s in groups[0])
-            groups[taken].append(src)
+    def passes(bit: int, prio: int) -> tuple[tuple[slice, slice, int, int], ...]:
+        groups = ([s for s in live if not s & bit], [s for s in live if s & bit])
         return tuple(
-            (
-                _as_slice(srcs),
-                _as_slice([s | bit for s in srcs]),
-                np.array([[_CARRY - order[s | bit].index(decision + s)] for s in srcs], np.int32),
-            )
-            for srcs in groups
+            (_as_slice(srcs), _as_slice([s | bit for s in srcs]), len(srcs), prio - held)
+            for held, srcs in enumerate(groups)
             if srcs
         )
 
@@ -220,9 +209,9 @@ def _row_plan(live: tuple[int, ...], far_bit: int, near_bit: int) -> _RowPlan:
         return _LIVE_SETS.index(tuple(sorted(grown)))
 
     return _RowPlan(
-        passes(far_bit, 8),
-        passes(near_bit, 4),
-        tuple(map(tuple, lut)),
+        passes(far_bit, 5),
+        passes(near_bit, 3),
+        lut,
         tuple((after(f, False), after(f, True)) for f in (False, True)),
     )
 
@@ -273,17 +262,16 @@ class DifferenceTable:
     swaps and a (4, final band) scratch buffer: per row one add
     for the carry and, per extension phase, one add into the scratch and
     one maximum over all live layers (a second pair where two source
-    layers share a target).  The priority is 6 - rank, where rank orders
-    a target layer's candidates as carry, far extensions, near extensions,
-    each by ascending source layer, so the maximum keeps the first
-    candidate with the largest total.  At row end the 3-bit priorities
-    of the band (7: empty) are stored as uint8 with the band's first
-    column, and cleared from the keys; the row's plan maps a priority
-    back to its decision code.  The codes of all rows share one
-    (4, summed band widths) buffer, allocated once per table; each row
-    stores into its own column slice.  The counter gets the cells actually
-    touched.  The memory a table needs is predicted from the bands before
-    anything is allocated, and a table over MAX_TABLE_BYTES is refused.
+    layers share a target).  Priorities follow the rule in _RowPlan, so
+    the maximum keeps the sequential order's first candidate with the
+    largest total.  At row end the 3-bit priorities of the band (7:
+    empty) are stored as uint8 with the band's first column, and cleared
+    from the keys; the row's plan maps a priority back to its decision
+    code.  The codes of all rows share one (4, summed band widths) buffer,
+    allocated once per table; each row stores into its own column slice.
+    The counter gets the cells actually touched.  The memory a table needs
+    is predicted from the bands before anything is allocated, and a table
+    over MAX_TABLE_BYTES is refused.
     """
 
     def __init__(
@@ -364,8 +352,8 @@ class DifferenceTable:
             span = hi0 - far_w - lo + 1
             far_on = far_w > 0 and span > 0
             if far_on:
-                for src, tgt, prio in plan.far:
-                    buf = z[:len(prio), :span]
+                for src, tgt, k, prio in plan.far:
+                    buf = z[:k, :span]
                     np.add(x[src, lo + far_w:hi0 + 1], prio + 8 * far_w, out=buf)
                     dest = y[tgt, lo:lo + span]
                     np.maximum(dest, buf, out=dest)
@@ -373,8 +361,8 @@ class DifferenceTable:
             # near-set extension: only candidate bases; difference shifts up
             near_on = near_w > 0 and i in cand_set
             if near_on:
-                for src, tgt, prio in plan.near:
-                    buf = z[:len(prio), :hi0 - lo0 + 1]
+                for src, tgt, k, prio in plan.near:
+                    buf = z[:k, :hi0 - lo0 + 1]
                     np.add(x[src, lo0:hi0 + 1], prio + 8 * near_w, out=buf)
                     dest = y[tgt, lo0 + near_w:hi + 1]
                     np.maximum(dest, buf, out=dest)

@@ -281,6 +281,32 @@ class TestCheck:
         code, out, err = run(capsys, "check", inst, sol)
         assert code == 1 and out == "" and err.startswith("check failed:")
 
+    DROP = object()  # an edit that deletes the field
+    FACTOR_R = {"format": 1, "problem": "factor-r", "weights": [2, 5, 3], "r": "3/2"}
+    INFEASIBLE = {"format": 1, "problem": "two-set", "pairs": [[1, 1]]}
+    EDITED = [
+        (FACTOR_R, {"r": "5"}),
+        (FACTOR_R, {"r": [1]}),
+        (FACTOR_R, {"r": DROP}),
+        (INFEASIBLE, {"epsilon": "x", "bound": "99"}),
+        (INFEASIBLE, {"sum1": "7", "ratio_decimal": 3.5}),
+        (INFEASIBLE, {"s1_side": "a"}),
+        ({"format": 1, "problem": "factor-r", "weights": [4], "r": "5/4"}, {"r_multiplied": "s1"}),
+    ]
+
+    @pytest.mark.parametrize(
+        "instance, edits", EDITED, ids=[f"edited{k}" for k in range(len(EDITED))]
+    )
+    def test_edited_r_and_infeasible_fields_fail(self, tmp_path, capsys, instance, edits):
+        inst = write_instance(tmp_path, "inst.json", instance)
+        sol = tmp_path / "sol.json"
+        assert run(capsys, "solve", inst, "--epsilon", "1/2", "--output", str(sol))[0] in (0, 2)
+        assert run(capsys, "check", inst, str(sol))[0] == 0
+        doc = dict(json.loads(sol.read_text()), **edits)
+        sol.write_text(json.dumps({k: v for k, v in doc.items() if v is not self.DROP}))
+        code, out, err = run(capsys, "check", inst, str(sol))
+        assert code == 1 and out == "" and err
+
     @pytest.mark.parametrize("pivot_m", [99, "x", None, 4])
     def test_tampered_pivot_m_fails(self, tmp_path, capsys, pivot_m):
         inst = write_instance(

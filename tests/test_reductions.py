@@ -59,9 +59,10 @@ class TestEncode:
 class TestDecode:
     def test_ssr_index_mapping(self):
         sol = SolutionPair.from_sets([2, 3, 2, 3], {1}, {4})
-        dec = decode(sol, "ssr", 2)
-        assert (dec.s1, dec.s2) == (frozenset({1}), frozenset({2}))
-        assert dec.r_multiplied is None
+        for source in ("ssr", "two-set"):
+            dec = decode(sol, source, 2)
+            assert (dec.s1, dec.s2) == (frozenset({1}), frozenset({2}))
+            assert dec.r_multiplied is None
 
     def test_factor_r_labels_scaled_set(self):
         enc = encode_factor_r_weights([1, 1], 2)

@@ -23,6 +23,9 @@ from ssratio import (
 )
 from ssratio.semi_restricted import (
     MAX_TABLE_BYTES,
+    _CARRY,
+    _LIVE_SETS,
+    _ROW_PLANS,
     _heavy_singleton,
     _keys_fit_int32,
     _side_view,
@@ -444,6 +447,34 @@ class TestPackedKernel:
                 met[key] += seen[key]
         assert met["live"] == {(0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3)}
         assert met["ties"] > 0 and met["zeros"] > 0 and met["fell_off"] > 0
+
+    def test_row_plans_follow_sequential_order(self):
+        # every (live set, far bit, near bit): per target layer, the carry,
+        # then far and then near extensions by ascending source, must get
+        # strictly decreasing priorities that the lut maps back to their codes
+        for (k, live), (fi, far_bit), (ni, near_bit) in product(
+            enumerate(_LIVE_SETS), enumerate((0, 1)), enumerate((0, 2))
+        ):
+            plan = _ROW_PLANS[k][fi][ni]
+            prio: dict[int, int] = {}  # decision code -> priority
+            for passes, bit, decision in ((plan.far, far_bit, 8), (plan.near, near_bit, 4)):
+                seen = []
+                for p in passes:
+                    srcs, tgts = list(range(4)[p[0]]), list(range(4)[p[1]])
+                    assert tgts == [s | bit for s in srcs]
+                    priorities = np.broadcast_to(np.asarray(p[-1]).reshape(-1), (len(srcs),))
+                    prio.update((decision + s, int(q)) for s, q in zip(srcs, priorities))
+                    seen += srcs
+                assert sorted(seen) == list(live)
+            for layer in range(4):
+                order = [layer] if layer in live else []
+                order += [8 + s for s in live if s | far_bit == layer]
+                order += [4 + s for s in live if s | near_bit == layer]
+                ranks = [_CARRY if code == layer else prio[code] for code in order]
+                where = (live, far_bit, near_bit, layer)
+                assert all(a > b for a, b in zip(ranks, ranks[1:])), where
+                assert all(plan.lut[layer][q] == code for q, code in zip(ranks, order)), where
+                assert plan.lut[layer][7] == 255, where
 
     def test_int32_headroom_at_byte_limit(self):
         # the row buffers alone take 2 * 4 * 4 bytes per column of the
