@@ -12,7 +12,6 @@ encode_ssr_weights/encode_factor_r_weights and decode (source problems).
 from .core import (
     Fraction,
     OpCounter,
-    RatioValue,
     SolutionPair,
     TwoSetInstance,
     check_feasible_semi_restricted,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Fraction",
     "OpCounter",
-    "RatioValue",
     "SolutionPair",
     "TwoSetInstance",
     "check_feasible_semi_restricted",

@@ -85,7 +85,7 @@ def _read_json(path: str, what: str) -> dict[str, Any]:
 def load_instance(path: str) -> dict[str, Any]:
     """Parse and validate an instance file into a normalized dict."""
     doc = _read_json(path, "instance")
-    if doc.get("format") != FORMAT_VERSION:
+    if type(doc.get("format")) is not int or doc["format"] != FORMAT_VERSION:
         raise CliError(f"malformed instance file: expected \"format\": {FORMAT_VERSION}")
     problem = doc.get("problem")
     if problem not in ("ssr", "two-set", "factor-r"):
@@ -176,7 +176,7 @@ def build_solution_doc(
     doc["sum1"] = str(sol.sum1)
     doc["sum2"] = str(sol.sum2)
     doc["ratio"] = str(value)
-    doc["ratio_decimal"] = _ratio_decimal(value.as_fraction()) if value.is_finite else None
+    doc["ratio_decimal"] = _ratio_decimal(value) if value != math.inf else None
     if mode == "fptas":
         assert epsilon is not None
         doc["epsilon"] = str(epsilon)
@@ -191,7 +191,7 @@ def build_solution_doc(
 
 
 def _emit(doc: dict[str, Any], path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -335,10 +335,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 opt_str = ""
                 if optimum is not None:
                     opt_str = str(optimum)
-                    if optimum.is_finite and result.feasible:
-                        ratio_to_opt = repr(
-                            float(result.value.as_fraction() / optimum.as_fraction())
-                        )
+                    if optimum != math.inf and result.feasible:
+                        ratio_to_opt = repr(float(result.value / optimum))
                 writer.writerow(
                     [n, str(eps), trial, opt_str, str(result.value), ratio_to_opt,
                      result.dp_cell_ops, repr(elapsed_ms)]
@@ -383,7 +381,7 @@ def _weight_lookup(instance: dict[str, Any]):
 def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     """All inconsistencies between a solution file and its instance."""
     problems: list[str] = []
-    if doc.get("format") != FORMAT_VERSION:
+    if type(doc.get("format")) is not int or doc["format"] != FORMAT_VERSION:
         problems.append(f"solution format must be {FORMAT_VERSION}")
         return problems
     problem = instance["problem"]

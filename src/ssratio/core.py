@@ -2,8 +2,11 @@
 
 All weights, sums and ratio values are `fractions.Fraction` instances:
 solver logic never touches floating point, so comparisons and tie-handling
-are bit-exact.  Instance indices are 1-based everywhere in the public API;
-0-based storage is an internal detail.
+are bit-exact.  "No solution" has the ratio `math.inf`: every Fraction
+compares below it exactly (Fraction does not convert itself to float for
+that comparison, so ratios past the float range stay exact), and it
+prints as "inf".  Instance indices are 1-based everywhere in the public
+API; 0-based storage is an internal detail.
 
 A two-set instance consists of n weight pairs (a_i, b_i), flattened into a
 single weight list of length 2n where position i holds a_i and position
@@ -14,7 +17,7 @@ sum to the smaller one.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -25,7 +28,6 @@ __all__ = [
     "Fraction",
     "RationalLike",
     "parse_rational",
-    "RatioValue",
     "TwoSetInstance",
     "SolutionPair",
     "OpCounter",
@@ -55,65 +57,6 @@ def parse_rational(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational value: {value!r}") from exc
     raise ValueError(f"not a rational value: {value!r}")
-
-
-@functools.total_ordering
-@dataclass(frozen=True)
-class RatioValue:
-    """Extended ratio: a positive rational or +infinity.
-
-    The two kinds are totally ordered (every finite value < +inf), which
-    lets solver loops compare candidate objectives without sentinel
-    numbers.
-    """
-
-    _KIND_FINITE = 1
-    _KIND_INFINITE = 2
-
-    kind: int
-    value: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (1, 2):
-            raise ValueError(f"bad RatioValue kind: {self.kind}")
-        if self.kind == self._KIND_FINITE:
-            if self.value is None or self.value <= 0:
-                raise ValueError("finite ratio must be a positive rational")
-        elif self.value is not None:
-            raise ValueError("infinite ratio carries no value")
-
-    @classmethod
-    def finite(cls, value: RationalLike) -> "RatioValue":
-        return cls(cls._KIND_FINITE, parse_rational(value))
-
-    @classmethod
-    def infinite(cls) -> "RatioValue":
-        return cls(cls._KIND_INFINITE)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == self._KIND_FINITE
-
-    def as_fraction(self) -> Fraction:
-        if self.kind == self._KIND_FINITE:
-            assert self.value is not None
-            return self.value
-        raise ValueError("infinite ratio has no fraction value")
-
-    def __lt__(self, other: "RatioValue") -> bool:
-        if not isinstance(other, RatioValue):
-            return NotImplemented
-        if self.kind != other.kind:
-            return self.kind < other.kind
-        if self.kind == self._KIND_FINITE:
-            assert self.value is not None and other.value is not None
-            return self.value < other.value
-        return False
-
-    def __str__(self) -> str:
-        if self.kind == self._KIND_INFINITE:
-            return "inf"
-        return str(self.value)
 
 
 def _check_index(i: int, count: int) -> None:
@@ -206,12 +149,12 @@ class SolutionPair:
     def is_empty(self) -> bool:
         return not self.s1 and not self.s2
 
-    def value(self) -> RatioValue:
-        """Objective of this pair: larger sum over smaller sum."""
+    def value(self) -> Fraction | float:
+        """Objective of this pair: larger sum over smaller sum, or
+        `math.inf` for the empty (infeasible) pair."""
         if self.is_empty:
-            return RatioValue.infinite()
-        hi, lo = max(self.sum1, self.sum2), min(self.sum1, self.sum2)
-        return RatioValue.finite(hi / lo)
+            return math.inf
+        return max(self.sum1, self.sum2) / min(self.sum1, self.sum2)
 
 
 def check_feasible_two_set(sol: SolutionPair, n: int) -> bool:

@@ -31,7 +31,6 @@ from .core import (
     OpCounter,
     parse_rational,
     RationalLike,
-    RatioValue,
     SolutionPair,
     TwoSetInstance,
 )
@@ -91,20 +90,22 @@ def scale_instance(
 
 @dataclass(frozen=True)
 class PivotLog:
-    """Per-pivot trace entry: objective under scaled and original weights."""
+    """Per-pivot trace entry: objective under scaled and original weights
+    (`math.inf` where the pivot returned no pair)."""
 
     m: int
-    scaled_value: RatioValue
-    original_value: RatioValue
+    scaled_value: Fraction | float
+    original_value: Fraction | float
 
 
 @dataclass(frozen=True)
 class ApproxResult:
-    """Driver outcome.  `value` is on the original weights; when a feasible
-    solution exists it is at most bound = (1 + epsilon) times the optimum."""
+    """Driver outcome.  `value` is the solution's objective on the original
+    weights, a Fraction at most bound = (1 + epsilon) times the optimum, or
+    `math.inf` when the instance is infeasible."""
 
     solution: SolutionPair
-    value: RatioValue
+    value: Fraction | float
     epsilon: Fraction
     bound: Fraction
     pivot_used: int | None
@@ -121,15 +122,18 @@ class ApproxResult:
         return "approximate" if self.feasible else "infeasible"
 
 
-def scaled_pair_value(ctx: ScaleContext, s1: frozenset[int], s2: frozenset[int]) -> RatioValue:
-    """Objective of a pair under the scaled integer weights."""
+def scaled_pair_value(
+    ctx: ScaleContext, s1: frozenset[int], s2: frozenset[int]
+) -> Fraction | float:
+    """Objective of a pair under the scaled integer weights; `math.inf`
+    when a set is empty or scales to sum 0."""
     if not s1 or not s2:
-        return RatioValue.infinite()
+        return math.inf
     sum1 = sum(ctx.scaled[i - 1] for i in s1)
     sum2 = sum(ctx.scaled[j - 1] for j in s2)
     if min(sum1, sum2) == 0:
-        return RatioValue.infinite()
-    return RatioValue.finite(Fraction(max(sum1, sum2), min(sum1, sum2)))
+        return math.inf
+    return Fraction(max(sum1, sum2), min(sum1, sum2))
 
 
 def fptas_solve(
@@ -155,7 +159,7 @@ def fptas_solve(
     ops_start = ops.cells
 
     best_pair = SolutionPair.empty()
-    best_value = RatioValue.infinite()
+    best_value: Fraction | float = math.inf
     pivot_used: int | None = None
     log: list[PivotLog] = []
     memos: dict[Fraction, dict] = {}  # per pivot value: one scaled vector
@@ -168,7 +172,7 @@ def fptas_solve(
             if value < best_value:
                 best_pair, best_value, pivot_used = pair, value, m
         else:
-            value = RatioValue.infinite()
+            value = math.inf
         if collect_log:
             log.append(PivotLog(m, scaled_pair_value(ctx, s1, s2), value))
 
@@ -237,7 +241,7 @@ def check_pivot_inequalities(
     # additive loss across the scaling, via the achieving orientation
     num_set, den_set = max(_orientations(s1, s2), key=lambda o: sums[o[0]] / sums[o[1]])
     mr_orig = sums[num_set] / sums[den_set]
-    mr_scaled = scaled_pair_value(ctx, s1, s2).as_fraction()
+    mr_scaled = scaled_pair_value(ctx, s1, s2)
     assert mr_orig <= mr_scaled + count * delta / sums[den_set], "additive scaling loss violated"
 
     hypothesis = min(sums[s1], sums[s2]) >= pivot_w
@@ -267,6 +271,6 @@ def check_optimum_scaling(
         return False
     mr_orig = max(sum1, sum2) / min(sum1, sum2)
     mr_scaled = scaled_pair_value(ctx, opt_s1, opt_s2)
-    assert mr_scaled.is_finite, "optimal pair lost a set under scaling"
-    assert mr_scaled.as_fraction() <= (1 + epsilon / 2) * mr_orig, "optimum scaling bound violated"
+    assert mr_scaled != math.inf, "optimal pair lost a set under scaling"
+    assert mr_scaled <= (1 + epsilon / 2) * mr_orig, "optimum scaling bound violated"
     return True

@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .core import (
     RationalLike,
-    RatioValue,
     SolutionPair,
     TwoSetInstance,
     parse_rational,
@@ -42,10 +41,11 @@ DEFAULT_SIZE_CAP = 14
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of an exhaustive search: best pair (if any) and its objective."""
+    """Outcome of an exhaustive search: best pair (if any) and its objective,
+    a Fraction, or `math.inf` when no feasible pair exists."""
 
     best: SolutionPair | None
-    optimum: RatioValue
+    optimum: Fraction | float
 
     @property
     def feasible(self) -> bool:
@@ -93,9 +93,9 @@ class _Best:
 
 def _result(best: _Best, weights: Sequence[RationalLike]) -> OracleResult:
     if not best.found:
-        return OracleResult(None, RatioValue.infinite())
+        return OracleResult(None, math.inf)
     pair = SolutionPair.from_sets(weights, best.s1, best.s2)
-    return OracleResult(pair, RatioValue.finite(Fraction(best.hi, best.lo)))
+    return OracleResult(pair, Fraction(best.hi, best.lo))
 
 
 def _two_set_states(inst: TwoSetInstance):
@@ -145,7 +145,7 @@ def brute_force_semi_restricted(
     if not 1 <= m <= 2 * inst.n:
         raise ValueError(f"pivot {m} out of range 1..{2 * inst.n}")
     return semi_restricted_optima_by_value(inst, max_n).get(
-        inst.weight(m), OracleResult(None, RatioValue.infinite())
+        inst.weight(m), OracleResult(None, math.inf)
     )
 
 

@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import RationalLike, SolutionPair, TwoSetInstance, parse_rational
+from .core import (
+    RationalLike,
+    SolutionPair,
+    TwoSetInstance,
+    check_feasible_two_set,
+    parse_rational,
+)
 
 __all__ = [
     "DecodedSolution",
@@ -66,31 +72,17 @@ def decode(sol: SolutionPair, source: str, n: int) -> DecodedSolution:
 
     The source objective is the encoded pair's own ``sol.value()``: its
     cached sums already include the factor for factor-r.  An empty pair
-    decodes to an empty (infeasible) solution.
+    decodes to an empty (infeasible) solution; any other pair that is not
+    a feasible two-set solution for n pairs raises ValueError.
     """
     if source not in ("two-set", "ssr", "factor-r"):
         raise ValueError(f"unknown source problem: {source!r}")
     if sol.is_empty:
         return DecodedSolution(frozenset(), frozenset())
-    first = set(range(1, n + 1))
-    second = set(range(n + 1, 2 * n + 1))
-    r_multiplied: str | None = None
-    decoded_sets: list[frozenset[int]] = []
-    sides_seen: list[int] = []
-    for label, enc in (("s1", sol.s1), ("s2", sol.s2)):
-        if enc <= first:
-            decoded_sets.append(frozenset(enc))
-            sides_seen.append(1)
-        elif enc <= second:
-            decoded_sets.append(frozenset(i - n for i in enc))
-            sides_seen.append(2)
-            if source == "factor-r":
-                r_multiplied = label
-        else:
-            raise ValueError("encoded set mixes the two sides")
-    if sides_seen[0] == sides_seen[1]:
-        raise ValueError("encoded sets must lie on opposite sides")
-    s1, s2 = decoded_sets
-    if s1 & s2:
-        raise ValueError("encoded solution violates the pair constraint")
+    if not check_feasible_two_set(sol, n):
+        raise ValueError("encoded solution is not a feasible two-set solution")
+    s1, s2 = (frozenset((i - 1) % n + 1 for i in enc) for enc in (sol.s1, sol.s2))
+    r_multiplied = None
+    if source == "factor-r":  # the set drawn from the second side carries r
+        r_multiplied = "s1" if max(sol.s1) > n else "s2"
     return DecodedSolution(s1, s2, r_multiplied)

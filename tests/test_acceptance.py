@@ -94,8 +94,8 @@ def test_criterion_2_fptas_guarantee(guarantee_battery):
                 res = fptas_solve(instance, eps)
                 assert res.feasible == opt.feasible, (pairs, eps)
                 if opt.feasible:
-                    value = res.value.as_fraction()
-                    ceiling = (1 + eps) * opt.optimum.as_fraction()
+                    value = res.value
+                    ceiling = (1 + eps) * opt.optimum
                     assert Fraction(1) <= value <= ceiling, (pairs, eps)
                 checked += 1
         assert checked >= 200 * len(GUARANTEE_EPSILONS)

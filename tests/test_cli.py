@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssratio.cli import main, random_two_set
+from ssratio.cli import _emit, main, random_two_set
 
 
 def write_instance(tmp_path, name, doc):
@@ -120,6 +121,13 @@ class TestInputErrors:
         code, _, err = run(capsys, "solve", path, "--epsilon", "0.5")
         assert code == 1 and "format" in err
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_format_must_be_integer_one(self, tmp_path, capsys, version):
+        doc = {"format": version, "problem": "ssr", "weights": [1, 2]}
+        path = write_instance(tmp_path, "format.json", doc)
+        code, out, err = run(capsys, "solve", path, "--epsilon", "0.5")
+        assert code == 1 and out == "" and "format" in err
+
     def test_usage_error_exits_one(self, capsys):
         code, _, _ = run(capsys, "solve")
         assert code == 1
@@ -222,6 +230,16 @@ class TestCheck:
         assert doc["ratio"] == "1" + "0" * 400 and doc["ratio_decimal"] is None
         code, out, _ = run(capsys, "check", inst, sol)
         assert code == 0 and out.strip() == "OK"
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_non_integer_format_fails(self, worked_two_set, tmp_path, capsys, version):
+        sol = str(tmp_path / "sol.json")
+        run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--output", sol)
+        doc = json.loads(Path(sol).read_text())
+        doc["format"] = version
+        Path(sol).write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", worked_two_set, sol)
+        assert code == 1 and out == "" and "format" in err
 
     def test_null_ratio_decimal_needs_overflow(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")
@@ -333,6 +351,12 @@ class TestCheck:
         assert code == 1 and "stats" in err
 
 
+def test_emit_refuses_non_json_floats(capsys):
+    with pytest.raises(ValueError):
+        _emit({"ratio_decimal": math.inf}, None)
+    assert capsys.readouterr().out == ""
+
+
 class TestDeterminism:
     def test_identical_bytes_across_runs(self, tmp_path, capsys):
         inst = write_instance(
@@ -379,6 +403,13 @@ class TestBench:
                 eps = Fraction(eps_str)
                 assert Fraction(1) <= Fraction(value) <= (1 + eps) * Fraction(opt)
                 assert float(ratio_to_opt) >= 1.0
+
+    def test_infeasible_size_row(self, capsys):
+        code, out, _ = run(capsys, "bench", "--sizes", "1", "--trials", "1")
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        # n = 1 has no feasible pair: optimum and value inf, no ratio_to_optimum
+        assert row[:6] == ["1", "1/2", "0", "inf", "inf", ""]
 
     @pytest.mark.parametrize("flag,value", [
         ("--weight-max", "0"), ("--trials", "0"), ("--trials", "-3"), ("--oracle-cap", "-1"),

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from ssratio import (
-    RatioValue,
     SolutionPair,
     TwoSetInstance,
     check_feasible_semi_restricted,
@@ -31,29 +31,6 @@ class TestParseRational:
             parse_rational(bad)
 
 
-class TestRatioValue:
-    def test_total_order(self):
-        one = RatioValue.finite(1)
-        two = RatioValue.finite(2)
-        inf = RatioValue.infinite()
-        assert one < two < inf
-        assert not inf < inf and not one < one
-        assert sorted([inf, two, one]) == [one, two, inf]
-
-    def test_str_and_fraction(self):
-        assert str(RatioValue.finite(Fraction(6, 5))) == "6/5"
-        assert str(RatioValue.infinite()) == "inf"
-        assert RatioValue.finite("4/2").as_fraction() == 2
-        with pytest.raises(ValueError):
-            RatioValue.infinite().as_fraction()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RatioValue.finite(0)
-        with pytest.raises(ValueError):
-            RatioValue.finite(-1)
-
-
 class TestRatio:
     """The objective of a pair, as SolutionPair.value() computes it."""
 
@@ -66,10 +43,14 @@ class TestRatio:
             SolutionPair.from_sets([3, 5], {1}, set())
 
     def test_both_empty(self):
-        assert SolutionPair.from_sets([3, 5], set(), set()).value() == RatioValue.infinite()
+        assert SolutionPair.from_sets([3, 5], set(), set()).value() == math.inf
 
     def test_plain(self):
-        assert SolutionPair.from_sets([6, 3], {1}, {2}).value() == RatioValue.finite(2)
+        assert SolutionPair.from_sets([6, 3], {1}, {2}).value() == 2
+
+    def test_value_is_fraction_or_inf(self):
+        assert SolutionPair.empty().value() == math.inf
+        assert type(SolutionPair.from_sets([6, 3], {1}, {2}).value()) is Fraction
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -78,14 +59,14 @@ class TestRatio:
 
 class TestMaxRatio:
     def test_equal_sums(self):
-        assert SolutionPair.from_sets([3, 3], {1}, {2}).value() == RatioValue.finite(1)
+        assert SolutionPair.from_sets([3, 3], {1}, {2}).value() == 1
 
     def test_takes_larger_direction(self):
         for s1, s2 in (({1}, {2}), ({2}, {1})):
-            assert SolutionPair.from_sets([6, 3], s1, s2).value() == RatioValue.finite(2)
+            assert SolutionPair.from_sets([6, 3], s1, s2).value() == 2
 
     def test_two_empty_sets(self):
-        assert SolutionPair.empty().value() == RatioValue.infinite()
+        assert SolutionPair.empty().value() == math.inf
 
 
 class TestFeasibility:
@@ -140,8 +121,8 @@ class TestInstances:
             SolutionPair(frozenset({1}), frozenset())
         pair = SolutionPair.from_sets([2, 3], {1}, {2})
         assert (pair.sum1, pair.sum2) == (2, 3)
-        assert pair.value() == RatioValue.finite(Fraction(3, 2))
-        assert SolutionPair.empty().value() == RatioValue.infinite()
+        assert pair.value() == Fraction(3, 2)
+        assert SolutionPair.empty().value() == math.inf
 
 
 # --- property tests ---------------------------------------------------------
@@ -175,7 +156,7 @@ def test_max_ratio_permutation_invariant(data):
 def test_max_ratio_at_least_one_for_nonempty(data):
     w, (s1, s2) = data
     assume(s1)
-    assert RatioValue.finite(1) <= SolutionPair.from_sets(w, s1, s2).value()
+    assert 1 <= SolutionPair.from_sets(w, s1, s2).value()
 
 
 @given(

@@ -11,7 +11,6 @@ import pytest
 
 from ssratio import (
     OpCounter,
-    RatioValue,
     SolutionPair,
     TwoSetInstance,
     brute_force_two_set,
@@ -100,12 +99,12 @@ class TestDriver:
     def test_uniform_instance_value_one(self):
         inst = TwoSetInstance.from_pairs([(2, 2), (2, 2)])
         for eps in GUARANTEE_EPSILONS:
-            assert fptas_solve(inst, eps).value == RatioValue.finite(1)
+            assert fptas_solve(inst, eps).value == 1
 
     def test_worked_instance(self):
         inst = TwoSetInstance.from_pairs([(5, 4), (3, 6)])
         res = fptas_solve(inst, Fraction(1, 2))
-        assert res.value == RatioValue.finite(Fraction(6, 5))
+        assert res.value == Fraction(6, 5)
         assert res.bound == Fraction(3, 2)
         assert res.status == "approximate"
 
@@ -138,8 +137,8 @@ class TestDriver:
                 res = fptas_solve(inst, eps)
                 assert res.feasible == opt.feasible
                 if opt.feasible:
-                    got = res.value.as_fraction()
-                    assert 1 <= got <= (1 + eps) * opt.optimum.as_fraction()
+                    got = res.value
+                    assert 1 <= got <= (1 + eps) * opt.optimum
 
     def test_determinism(self):
         rng = random.Random(29)
@@ -181,7 +180,7 @@ class TestSideCache:
     @staticmethod
     def uncached_solve(inst, eps):
         """Reference driver: every pivot solved afresh, with no memo."""
-        best, best_value, pivot_used = SolutionPair.empty(), RatioValue.infinite(), None
+        best, best_value, pivot_used = SolutionPair.empty(), math.inf, None
         for m in range(1, 2 * inst.n + 1):
             s1, s2 = exact_solver(scale_instance(inst.weights, m, eps).scaled, m)
             if s1 and s2:
@@ -321,11 +320,11 @@ def solve_source(encoded, source, eps):
 class TestConvenienceFrontends:
     def test_ssr_examples(self):
         res, dec = solve_source(encode_ssr_weights([2, 2]), "ssr", Fraction(1, 10))
-        assert res.value == RatioValue.finite(1)
+        assert res.value == 1
         assert len(dec.s1) == 1 and len(dec.s2) == 1
 
         res, dec = solve_source(encode_ssr_weights([1, 2, 3]), "ssr", Fraction(1, 10))
-        assert res.value == RatioValue.finite(1)
+        assert res.value == 1
         assert {dec.s1, dec.s2} == {frozenset({3}), frozenset({1, 2})}
 
         res, dec = solve_source(encode_ssr_weights([1]), "ssr", Fraction(1, 2))
@@ -333,11 +332,16 @@ class TestConvenienceFrontends:
 
     def test_ssr_accepts_rational_weights(self):
         res = fptas_solve(encode_ssr_weights(["1/2", "1/4", "3/4"]), Fraction(1, 10))
-        assert res.value == RatioValue.finite(1)
+        assert res.value == 1
+
+    def test_ratio_past_float_range_stays_exact(self):
+        res = fptas_solve(encode_ssr_weights(["1e400", 1]), Fraction(1, 2))
+        assert res.value == 10**400 and type(res.value) is Fraction
+        assert res.value < math.inf
 
     def test_factor_r_example(self):
         res, dec = solve_source(encode_factor_r_weights([1, 1], 2), "factor-r", Fraction(1, 10))
-        assert res.value == RatioValue.finite(2)
+        assert res.value == 2
         assert dec.r_multiplied in ("s1", "s2")
 
     def test_factor_one_matches_ssr(self):
@@ -361,9 +365,9 @@ class TestClosedFormOptima:
         top = 2 ** (n - 1)
         optimum = Fraction(top, top - 1)
         res, dec = solve_source(encode_ssr_weights([2**k for k in range(n)]), "ssr", eps)
-        assert optimum <= res.value.as_fraction() <= (1 + eps) * optimum
+        assert optimum <= res.value <= (1 + eps) * optimum
         assert not dec.is_empty
 
     def test_all_equal_weights(self):
         res = fptas_solve(encode_ssr_weights([7] * 30), Fraction(1, 4))
-        assert res.value == RatioValue.finite(1)
+        assert res.value == 1

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from ssratio import (
-    RatioValue,
     SolutionPair,
     TwoSetInstance,
     brute_force_factor_r,
@@ -32,16 +32,16 @@ class TestTwoSet:
         res = brute_force_two_set(inst([(5, 4), (3, 6)]))
         assert res.best is not None
         assert (sorted(res.best.s1), sorted(res.best.s2)) == ([1], [4])
-        assert res.optimum == RatioValue.finite(Fraction(6, 5))
+        assert res.optimum == Fraction(6, 5)
 
     def test_single_pair_is_infeasible(self):
         res = brute_force_two_set(inst([(2, 2)]))
         assert res.best is None
-        assert res.optimum == RatioValue.infinite()
+        assert res.optimum == math.inf
 
     def test_uniform_weights(self):
         res = brute_force_two_set(inst([(2, 2), (2, 2)]))
-        assert res.optimum == RatioValue.finite(1)
+        assert res.optimum == 1
 
     def test_size_cap(self):
         big = inst([(1, 1)] * 15)
@@ -62,17 +62,17 @@ class TestSemiRestricted:
     def test_pivot_one(self):
         res = brute_force_semi_restricted(inst([(5, 4), (3, 6)]), 1)
         assert (sorted(res.best.s1), sorted(res.best.s2)) == ([1], [4])
-        assert res.optimum == RatioValue.finite(Fraction(6, 5))
+        assert res.optimum == Fraction(6, 5)
 
     def test_pivot_two(self):
         res = brute_force_semi_restricted(inst([(5, 4), (3, 6)]), 2)
         assert (sorted(res.best.s1), sorted(res.best.s2)) == ([2], [3])
-        assert res.optimum == RatioValue.finite(Fraction(4, 3))
+        assert res.optimum == Fraction(4, 3)
 
     def test_heavy_element_forces_substitute(self):
         res = brute_force_semi_restricted(inst([(2, 100), (2, 1)]), 1)
         assert (sorted(res.best.s1), sorted(res.best.s2)) == ([2], [3])
-        assert res.optimum == RatioValue.finite(50)
+        assert res.optimum == 50
 
     def test_pivot_range(self):
         with pytest.raises(ValueError):
@@ -90,7 +90,7 @@ class TestStructuralProperties:
             for m in range(1, 2 * instance.n + 1):
                 res = brute_force_semi_restricted(instance, m)
                 if res.best is None:
-                    assert res.optimum == RatioValue.infinite()
+                    assert res.optimum == math.inf
                     continue
                 # optimum matches the pair, and the pair is feasible at both levels
                 assert res.optimum == res.best.value()
@@ -149,8 +149,8 @@ class TestStructuralProperties:
 
 class TestSourceProblems:
     def test_ssr_examples(self):
-        assert brute_force_ssr([1, 2, 3]).optimum == RatioValue.finite(1)
-        assert brute_force_ssr([2, 2]).optimum == RatioValue.finite(1)
+        assert brute_force_ssr([1, 2, 3]).optimum == 1
+        assert brute_force_ssr([2, 2]).optimum == 1
         assert brute_force_ssr([1]).best is None
 
     def test_ssr_rejects_bad_weights(self):
@@ -159,8 +159,8 @@ class TestSourceProblems:
 
     def test_factor_r_examples(self):
         res = brute_force_factor_r([1, 1], 2)
-        assert res.optimum == RatioValue.finite(2)
-        assert brute_force_factor_r([1, 2], 2).optimum == RatioValue.finite(1)
+        assert res.optimum == 2
+        assert brute_force_factor_r([1, 2], 2).optimum == 1
 
     def test_factor_one_matches_ssr(self):
         rng = random.Random(11)

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from ssratio import (
-    RatioValue,
     SolutionPair,
     TwoSetInstance,
     brute_force_factor_r,
@@ -27,7 +26,7 @@ class TestEncode:
 
     def test_ssr_optimum_carries_over(self):
         enc = encode_ssr_weights([1, 2, 3])
-        assert brute_force_two_set(enc).optimum == RatioValue.finite(1)
+        assert brute_force_two_set(enc).optimum == 1
 
     def test_ssr_single_weight_infeasible_both_ways(self):
         enc = encode_ssr_weights([1])
@@ -37,11 +36,11 @@ class TestEncode:
     def test_factor_r_weights(self):
         enc = encode_factor_r_weights([1, 1], 2)
         assert enc.weights == (1, 1, 2, 2)
-        assert brute_force_two_set(enc).optimum == RatioValue.finite(2)
+        assert brute_force_two_set(enc).optimum == 2
 
     def test_factor_r_exact_match(self):
         enc = encode_factor_r_weights([1, 2], 2)
-        assert brute_force_two_set(enc).optimum == RatioValue.finite(1)
+        assert brute_force_two_set(enc).optimum == 1
 
     def test_factor_one_is_plain_encoding(self):
         weights = (3, 5, 9)
@@ -120,7 +119,7 @@ class TestEquivalence:
             sum1 = Fraction(sum(weights[i - 1] for i in dec.s1))
             sum2 = Fraction(sum(weights[j - 1] for j in dec.s2))
             sum1, sum2 = (sum1 * r, sum2) if dec.r_multiplied == "s1" else (sum1, sum2 * r)
-            assert RatioValue.finite(max(sum1, sum2) / min(sum1, sum2)) == res.best.value()
+            assert max(sum1, sum2) / min(sum1, sum2) == res.best.value()
             assert not dec.s1 & dec.s2
 
 

@@ -12,7 +12,6 @@ import pytest
 from ssratio import (
     DifferenceTable,
     OpCounter,
-    RatioValue,
     SolutionPair,
     TwoSetInstance,
     brute_force_semi_restricted,
@@ -66,7 +65,7 @@ class TestHeavySingleton:
     def test_dominant_far_element(self):
         sol = heavy_singleton([(2, 100), (2, 1)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([2], [3])
-        assert sol.value() == RatioValue.finite(50)
+        assert sol.value() == 50
 
     def test_no_candidate_above_cap(self):
         sol = heavy_singleton([(5, 4), (3, 6)], 1)
@@ -77,17 +76,17 @@ class TestHeavySingleton:
         # far element costs nothing: denominator is the full cap
         sol = heavy_singleton([(5, 4), (9, 100)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([1], [4])
-        assert sol.value() == RatioValue.finite(20)
+        assert sol.value() == 20
         assert brute_force_semi_restricted(
             TwoSetInstance.from_pairs([(5, 4), (9, 100)]), 1
-        ).optimum == RatioValue.finite(20)
+        ).optimum == 20
 
 
 class TestDifferenceDp:
     def test_worked_instance(self):
         sol = difference_dp([(5, 4), (3, 6)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([1], [4])
-        assert sol.value() == RatioValue.finite(Fraction(6, 5))
+        assert sol.value() == Fraction(6, 5)
 
     def test_heavy_weight_falls_out_of_window(self):
         sol = difference_dp([(2, 100), (2, 1)], 1)
@@ -96,18 +95,18 @@ class TestDifferenceDp:
     def test_uniform_instance(self):
         sol = difference_dp([(4, 4), (4, 4)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([1], [4])
-        assert sol.value() == RatioValue.finite(1)
+        assert sol.value() == 1
 
 
 class TestSolve:
     def test_heavy_singleton_wins(self):
         sol = solve([(2, 100), (2, 1)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([2], [3])
-        assert sol.value() == RatioValue.finite(50)
+        assert sol.value() == 50
 
     def test_dp_wins(self):
         sol = solve([(5, 4), (3, 6)], 1)
-        assert sol.value() == RatioValue.finite(Fraction(6, 5))
+        assert sol.value() == Fraction(6, 5)
 
     def test_infeasible_pivot(self):
         sol = solve([(5, 4), (3, 6)], 4)
@@ -116,16 +115,16 @@ class TestSolve:
     def test_pivot_value_on_opposite_side(self):
         # the pivot's weight is realised by the opposite side only
         sol = solve([(10, 10), (11, 2)], 1)
-        assert sol.value() == RatioValue.finite(Fraction(11, 10))
+        assert sol.value() == Fraction(11, 10)
 
     def test_mate_of_pivot_in_far_set(self):
         sol = solve([(5, 9), (5, 1)], 1)
-        assert sol.value() == RatioValue.finite(Fraction(9, 5))
+        assert sol.value() == Fraction(9, 5)
 
     def test_duplicate_pivot_weights_join_near_set(self):
         sol = solve([(5, 1), (5, 1), (1, 11)], 1)
         assert (sorted(sol.s1), sorted(sol.s2)) == ([1, 2], [6])
-        assert sol.value() == RatioValue.finite(Fraction(11, 10))
+        assert sol.value() == Fraction(11, 10)
 
     def test_input_errors(self):
         with pytest.raises(ValueError):
