@@ -5,16 +5,19 @@ or decimal); plain JSON numbers are accepted and parsed exactly as
 written.  All files carry "format": 1.  Exit codes: 0 success, 1
 input/usage error, 2 infeasible instance.
 
-Solution files are self-certifying: the stated sums and ratio can be
-recomputed from the stated sets and the instance, which is what the
-`check` subcommand does.  Outputs are byte-deterministic; wall-clock
-timing is included only with --timings because it would break that.
+Solution files are self-certifying: `check` rebuilds a file from its
+stated sets and the instance through the same writer `solve` and
+`oracle` use, requires the file to match it field for field, and checks
+the pivot claims on the encoded weights.  Outputs are byte-deterministic;
+wall-clock timing is included only with --timings because it would break
+that.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -24,7 +27,7 @@ import time
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .core import SolutionPair, TwoSetInstance, parse_rational
+from .core import SolutionPair, TwoSetInstance, check_feasible_semi_restricted, parse_rational
 from . import oracle as oracle_mod
 from .fptas import ApproxResult, fptas_solve
 from .reductions import decode, encode_factor_r_weights, encode_ssr_weights
@@ -358,135 +361,82 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _weight_lookup(instance: dict[str, Any]):
-    problem = instance["problem"]
-    if problem == "two-set":
-        pairs = instance["pairs"]
+def _is_index(value: Any, count: int) -> bool:
+    return type(value) is int and 1 <= value <= count
 
-        def lookup(index: int, side: str) -> Fraction:
-            a, b = pairs[index - 1]
-            return a if side == "a" else b
 
-        return len(pairs), lookup
-    weights = instance["weights"]
-    r = instance.get("r", Fraction(1))
-
-    def lookup_plain(index: int, side: str) -> Fraction:
-        base = Fraction(weights[index - 1])
-        return base * r if side == "r" else base
-
-    return len(weights), lookup_plain
+def _field_problems(doc: dict[str, Any], want: dict[str, Any]) -> list[str]:
+    """One line per top-level field whose JSON differs from `want`, fields
+    present on only one side included."""
+    got, expected = ({k: json.dumps(v) for k, v in d.items()} for d in (doc, want))
+    return [f"{k} is {got.get(k, 'absent')}, expected {expected.get(k, 'absent')}"
+            for k in dict.fromkeys([*want, *doc]) if got.get(k) != expected.get(k)]
 
 
 def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
-    """All inconsistencies between a solution file and its instance."""
-    problems: list[str] = []
+    """All inconsistencies between a solution file and its instance.
+
+    The file must be, field for field, what `build_solution_doc` writes for
+    its stated sets (s1 on either side of the encoding) and its own
+    epsilon, pivot, stats and trace.  Those inputs are validated here, and
+    the pivot claims are checked against the encoded weights.
+    """
     if type(doc.get("format")) is not int or doc["format"] != FORMAT_VERSION:
-        problems.append(f"solution format must be {FORMAT_VERSION}")
-        return problems
-    problem = instance["problem"]
-    if doc.get("problem") != problem:
-        problems.append("solution problem kind does not match the instance")
-        return problems
+        return [f"solution format must be {FORMAT_VERSION}"]
     mode = doc.get("mode")
     if mode not in ("fptas", "oracle"):
-        problems.append("mode must be fptas or oracle")
-        return problems
-    status = doc.get("status")
-    allowed = ("approximate", "infeasible") if mode == "fptas" else ("optimal", "infeasible")
-    if status not in allowed:
-        problems.append(f"status {status!r} not allowed for mode {mode}")
-        return problems
+        return ["mode must be fptas or oracle"]
+    encoded = _encode(instance)
+    n = encoded.n
+    problems = _stats_problems(doc.get("stats"), mode, 2 * n)
+    s1, s2 = doc.get("s1"), doc.get("s2")
+    if not (isinstance(s1, list) and isinstance(s2, list)
+            and all(_is_index(i, n) for i in s1 + s2)):
+        return problems + [f"s1 and s2 must be lists of integers in 1..{n}"]
+    if bool(s1) != bool(s2) or set(s1) & set(s2):
+        return problems + ["s1 and s2 must be disjoint, and both empty or both nonempty"]
 
-    n, lookup = _weight_lookup(instance)
-    problems.extend(_stats_problems(doc.get("stats"), mode, 2 * n))
-    pivot = doc.get("pivot_used")
-    pivot_ok = type(pivot) is int and 1 <= pivot <= 2 * n
-    if mode == "fptas" and not (pivot is None if status == "infeasible" else pivot_ok):
-        problems.append(f"pivot_used must be null when infeasible, else an integer in 1..{2 * n}")
-    pivot_m = doc.get("pivot_m")
-    pivot_m_ok = type(pivot_m) is int and 1 <= pivot_m <= 2 * n
-    if "pivot_m" in doc and not pivot_m_ok:
-        problems.append(f"pivot_m must be an integer in 1..{2 * n}")
-    if problem == "factor-r" and parse_rational(doc.get("r", "0")) != instance["r"]:
-        problems.append(f"stated r {doc.get('r')!r} differs from the instance's r {instance['r']}")
+    pivot_used = doc.get("pivot_used") if mode == "fptas" else None
+    pivot_m = doc.get("pivot_m") if mode == "oracle" else None
+    options: dict[str, Any] = {"pivot_used": pivot_used, "pivot_m": pivot_m,
+                               "stats": doc.get("stats")}
     if mode == "fptas":
         try:
-            eps = _parse_epsilon(str(doc.get("epsilon")))
+            options["epsilon"] = _parse_epsilon(str(doc.get("epsilon")))
         except CliError:
-            problems.append("fptas solutions need a valid epsilon")
-            return problems
-        if parse_rational(doc.get("bound", "0")) != 1 + eps:
-            problems.append("bound must equal 1 + epsilon")
-    s1 = doc.get("s1")
-    s2 = doc.get("s2")
-    if not isinstance(s1, list) or not isinstance(s2, list):
-        problems.append("s1/s2 must be index lists")
-        return problems
-    stated1 = parse_rational(doc.get("sum1", "0"))
-    stated2 = parse_rational(doc.get("sum2", "0"))
-    if status == "infeasible":
-        if s1 or s2:
-            problems.append("infeasible solutions must have empty sets")
-        if doc.get("ratio") != "inf":
-            problems.append("infeasible solutions must state ratio inf")
-        if (stated1, stated2) != (0, 0) or doc.get("ratio_decimal") is not None:
-            problems.append("infeasible solutions must state sums 0 and ratio_decimal null")
-        labels = {"two-set": ("s1_side", "s2_side"), "factor-r": ("r_multiplied",)}.get(problem, ())
-        if any(doc.get(label) is not None for label in labels):
-            problems.append(f"infeasible solutions must have null {' and '.join(labels)}")
-        return problems
-    if not s1 or not s2:
-        problems.append("feasible solutions need both sets nonempty")
-        return problems
-    if any(type(i) is not int or not 1 <= i <= n for i in s1 + s2):
-        problems.append(f"indices must be integers in 1..{n}")
-        return problems
-    if len(set(s1)) != len(s1) or len(set(s2)) != len(s2):
-        problems.append("an index repeats within a set")
-        return problems
-    if set(s1) & set(s2):
-        problems.append("sets must be disjoint")
+            return problems + ["fptas solutions need a valid epsilon"]
+        options["trace"] = doc.get("trace")
+        if not (pivot_used is None if not s1 else _is_index(pivot_used, 2 * n)):
+            problems.append("pivot_used must be null when infeasible, "
+                            f"else an integer in 1..{2 * n}")
+    if pivot_m is not None and not _is_index(pivot_m, 2 * n):
+        problems.append(f"pivot_m must be an integer in 1..{2 * n}")
 
-    # side roles per problem kind; encoded index i has role side_roles[i > n]
-    side_roles = ("a", "b") if problem == "two-set" else ("plain", "r")
-    if problem == "two-set":
-        sides = doc.get("s1_side"), doc.get("s2_side")
-        if set(sides) != {"a", "b"}:
-            problems.append("two-set solutions need side labels a and b")
-            return problems
-        role1, role2 = sides
-    elif problem == "factor-r":
-        rmul = doc.get("r_multiplied")
-        if rmul not in ("s1", "s2"):
-            problems.append("factor-r solutions must label the r-multiplied set")
-            return problems
-        role1 = "r" if rmul == "s1" else "plain"
-        role2 = "r" if rmul == "s2" else "plain"
-    else:
-        role1 = role2 = "plain"
-
-    w1 = [lookup(i, role1) for i in s1]
-    w2 = [lookup(j, role2) for j in s2]
-    if pivot_m_ok:
-        # oracle --m: the smaller set maximum is the encoded element's weight
-        if min(max(w1), max(w2)) != lookup((pivot_m - 1) % n + 1, side_roles[pivot_m > n]):
-            problems.append(f"the smaller set maximum is not the weight of pivot_m {pivot_m}")
-    sum1, sum2 = sum(w1), sum(w2)
-    if (sum1, sum2) != (stated1, stated2):
-        problems.append(f"stated sums {stated1}/{stated2} differ from recomputed {sum1}/{sum2}")
-    recomputed = max(sum1, sum2) / min(sum1, sum2)
-    if parse_rational(doc.get("ratio", "0")) != recomputed:
-        problems.append(f"stated ratio {doc.get('ratio')} differs from recomputed {recomputed}")
-    if doc.get("ratio_decimal") != _ratio_decimal(recomputed):
-        problems.append("ratio_decimal does not match the exact ratio")
-    if mode == "fptas" and pivot_ok:
+    status = "infeasible" if not s1 else "approximate" if mode == "fptas" else "optimal"
+    best: tuple[SolutionPair, list[str]] | None = None
+    for first, second in ((0, n), (n, 0)):  # s1 drawn from the first side, then the second
+        sol = SolutionPair.from_sets(encoded.weights, [i + first for i in s1],
+                                     [j + second for j in s2])
+        diffs = _field_problems(doc, build_solution_doc(instance, sol, mode, status, **options))
+        if best is None or len(diffs) < len(best[1]):
+            best = sol, diffs
+        if not diffs:
+            break
+    sol, diffs = best
+    problems += diffs
+    if sol.is_empty:
+        return problems
+    if _is_index(pivot_m, 2 * n) and not check_feasible_semi_restricted(sol, encoded, pivot_m):
+        problems.append(f"the smaller set maximum is not the weight of pivot_m {pivot_m}")
+    if _is_index(pivot_used, 2 * n):
         # pivot claim in scaled weights floor(w / delta), delta = epsilon *
         # w_m / 6n: flooring can merge distinct original weights, so the
         # claim on original weights fails for some correct outputs
-        per_delta = 6 * n / (eps * lookup((pivot - 1) % n + 1, side_roles[pivot > n]))
-        if min(math.floor(max(w) * per_delta) for w in (w1, w2)) != math.floor(6 * n / eps):
-            problems.append(f"the smaller set maximum does not scale to pivot {pivot}")
+        eps = options["epsilon"]
+        per_delta = 6 * n / (eps * encoded.weight(pivot_used))
+        smaller_max = min(max(map(encoded.weight, side)) for side in (sol.s1, sol.s2))
+        if math.floor(smaller_max * per_delta) != math.floor(6 * n / eps):
+            problems.append(f"the smaller set maximum does not scale to pivot {pivot_used}")
     return problems
 
 
@@ -501,6 +451,10 @@ def _stats_problems(stats: Any, mode: str, count: int) -> list[str]:
             problems.append(f"stats need pivots_evaluated {count} and dp_cell_ops >= 0")
     elif not (pivots == cells == 0 and type(pivots) is type(cells) is int):
         problems.append("oracle stats need pivots_evaluated and dp_cell_ops 0")
+    written = ("pivots_evaluated", "dp_cell_ops") + (("wall_time_ms",) if mode == "fptas" else ())
+    extra = [key for key in stats if key not in written]
+    if extra:
+        problems.append(f"stats of {mode} files never have {', '.join(extra)}")
     wall = stats.get("wall_time_ms", 0)
     if type(wall) not in (int, float) or not 0 <= wall < math.inf:
         problems.append("stats wall_time_ms must be a non-negative number")
@@ -512,7 +466,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     doc = _read_json(args.solution, "solution")
     try:
         problems = verify_solution(instance, doc)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # nesting too deep to re-encode
         raise CliError(f"malformed solution file: {exc}") from exc
     if problems:
         for message in problems:
@@ -527,6 +481,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: building it costs about 1 ms a call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ssratio", description="Subset-sum ratio solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssratio.cli import _emit, main, random_two_set
+from ssratio.cli import _emit, build_parser, main, random_two_set
 
 
 def write_instance(tmp_path, name, doc):
@@ -104,6 +105,18 @@ class TestInputErrors:
                 assert code == 1 and out == ""
                 assert err.startswith(f"error: malformed {what} file") and err.count("\n") == 1
 
+    def test_deep_field_in_solution_fails_cleanly(self, worked_two_set, tmp_path, capsys):
+        # nesting that the decoder accepts can still be too deep for `check` to re-encode
+        sol = tmp_path / "sol.json"
+        run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--output", str(sol))
+        head = sol.read_text().rstrip()[:-1] + ', "note": '
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 300, limit + 1):
+            sol.write_text(head + "[" * depth + "]" * depth + "}")
+            code, out, err = run(capsys, "check", worked_two_set, str(sol))
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert err.startswith(("check failed: note is", "error: malformed solution file"))
+
     def test_epsilon_out_of_range(self, worked_two_set, capsys):
         for bad in ("0", "1", "2", "-0.5"):
             code, _, err = run(capsys, "solve", worked_two_set, "--epsilon", bad)
@@ -131,6 +144,12 @@ class TestInputErrors:
     def test_usage_error_exits_one(self, capsys):
         code, _, _ = run(capsys, "solve")
         assert code == 1
+
+    def test_parser_built_once(self, worked_two_set, capsys):
+        assert build_parser() is build_parser()
+        assert run(capsys, "solve", worked_two_set, "--epsilon", "1/2")[0] == 0
+        code, out, err = run(capsys, "solve")
+        assert code == 1 and out == "" and err.count("usage:") == 1
 
     def test_tiny_epsilon_exits_cleanly(self, tmp_path, capsys):
         # the scaled pivot weight outgrows the DP table's dtype
@@ -277,6 +296,7 @@ class TestCheck:
         # 5 + 7 against 3 + 9, with index 1 written as true
         ([3, 5, 7, 9], {"s1": [2, 3], "s2": [True, 4], "sum1": "12", "sum2": "12",
                         "ratio": "1", "pivot_used": 3}),
+        (None, {"stats": {"pivots_evaluated": 4, "dp_cell_ops": 0, "foo": 1}}),
     ]
 
     @pytest.mark.parametrize(
@@ -302,6 +322,8 @@ class TestCheck:
     DROP = object()  # an edit that deletes the field
     FACTOR_R = {"format": 1, "problem": "factor-r", "weights": [2, 5, 3], "r": "3/2"}
     INFEASIBLE = {"format": 1, "problem": "two-set", "pairs": [[1, 1]]}
+    # solve writes s1 [2, 3], s2 [1, 4], sums 12 and pivot_used 3 (weight 7)
+    SSR = {"format": 1, "problem": "ssr", "weights": [3, 5, 7, 9]}
     EDITED = [
         (FACTOR_R, {"r": "5"}),
         (FACTOR_R, {"r": [1]}),
@@ -310,6 +332,14 @@ class TestCheck:
         (INFEASIBLE, {"sum1": "7", "ratio_decimal": 3.5}),
         (INFEASIBLE, {"s1_side": "a"}),
         ({"format": 1, "problem": "factor-r", "weights": [4], "r": "5/4"}, {"r_multiplied": "s1"}),
+        (SSR, {"note": "x"}),
+        (SSR, {"s1": [3, 2]}),
+        (SSR, {"sum1": "12.0"}),
+        (SSR, {"epsilon": "0.5", "bound": "1.5"}),
+        (SSR, {"r": "2"}),
+        (SSR, {"r_multiplied": "s1"}),
+        (SSR, {"s1_side": "a"}),
+        (SSR, {"pivot_m": 3}),
     ]
 
     @pytest.mark.parametrize(
@@ -324,6 +354,25 @@ class TestCheck:
         sol.write_text(json.dumps({k: v for k, v in doc.items() if v is not self.DROP}))
         code, out, err = run(capsys, "check", inst, str(sol))
         assert code == 1 and out == "" and err
+
+    ORACLE_EDITED = [
+        {"pivot_used": 1},
+        {"epsilon": "1/2", "bound": "3/2"},
+        {"trace": []},
+        {"stats": {"pivots_evaluated": 0, "dp_cell_ops": 0, "wall_time_ms": 1.0}},
+    ]
+
+    @pytest.mark.parametrize(
+        "edits", ORACLE_EDITED, ids=[f"oracle_edited{k}" for k in range(len(ORACLE_EDITED))]
+    )
+    def test_edited_oracle_fields_fail(self, tmp_path, capsys, edits):
+        inst = write_instance(tmp_path, "inst.json", self.SSR)
+        sol = tmp_path / "sol.json"
+        assert run(capsys, "oracle", inst, "--output", str(sol))[0] == 0
+        assert run(capsys, "check", inst, str(sol))[0] == 0
+        sol.write_text(json.dumps(dict(json.loads(sol.read_text()), **edits)))
+        code, out, err = run(capsys, "check", inst, str(sol))
+        assert code == 1 and out == "" and err.startswith("check failed:")
 
     @pytest.mark.parametrize("pivot_m", [99, "x", None, 4])
     def test_tampered_pivot_m_fails(self, tmp_path, capsys, pivot_m):

@@ -6,7 +6,8 @@ with the exit code and JSON document of `solve --trace` at one epsilon and
 of `oracle`.  `stats` is left out, so a change that only makes the solver
 cheaper must reproduce the file unchanged; a change that alters an output
 must say why and regenerate it with `python tests/test_golden_cli.py`.
-Every stored document also passes `check`.
+Every stored document also passes `check`, and fails it once any field but
+`trace` is edited or deleted.
 """
 
 from __future__ import annotations
@@ -105,10 +106,17 @@ def test_golden_cli_documents(golden, index, tmp_path, capsys):
     assert run_case(index, want["instance"], tmp_path) == want
     inst = tmp_path / f"case{index}.json"
     for name in ("solve", "oracle"):
+        doc = dict(want[name]["doc"], stats=_stats(name, want))
         sol = tmp_path / f"{name}.json"
-        sol.write_text(json.dumps(dict(want[name]["doc"], stats=_stats(name, want))))
+        sol.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["check", str(inst), str(sol)]) == 0, (name, capsys.readouterr().err)
+        # every field but the uncertified trace is certified: editing or deleting it fails
+        for field in sorted(doc.keys() - {"trace"}):
+            rest = {k: v for k, v in doc.items() if k != field}
+            for edited in (dict(rest, **{field: "edited"}), rest):
+                sol.write_text(json.dumps(edited))
+                assert main(["check", str(inst), str(sol)]) == 1, (name, field, edited)
 
 
 if __name__ == "__main__":
