@@ -18,23 +18,26 @@ Each per-side search splits into two regimes:
 * difference DP - otherwise an optimal solution keeps the signed sum
   difference d = sum(S1) - sum(S2) inside [-2*cap, cap] where cap is the
   largest achievable near-side sum, and a table over (row, d, flags)
-  finds, for every difference, the pair with the largest total sum, which
-  at fixed difference is the pair with the smallest ratio.
+  finds, for every difference, the pair with both flags set and the
+  largest total sum, which at fixed difference is the pair with the
+  smallest ratio.
 
 Table writes follow the larger-total-sum rule: a cell is overwritten only
 when unoccupied or strictly beaten on total sum, so filled cells dominate
 every pair ever offered to them.  The fill realises the rule with packed
 int32 keys, total * 8 + priority, and one numpy maximum per extension
-phase over all live flag layers.  The carry gets priority 6, a far
+phase over the live flag layers.  The carry gets priority 6, a far
 extension 5 and a near extension 3, one less from a source already
 holding the row's bit: a target layer's sequential order, carry, far,
 near, each by ascending source, so the maximum keeps the first candidate
 with the largest total, ties included.  An empty cell holds -2**31; each
 row stores its 3-bit priorities (7: empty) as uint8 and a fixed per-row
 plan maps them back to decision codes.  Each row touches only its live
-band of differences and the flag layers already reachable, and stores
-codes for that band alone, as a column slice of one code buffer per
-table; ``dp_cell_ops`` counts the cells touched.
+band of differences and its live flag layers: those some earlier row
+could set that later rows can still complete to both flags, the only
+layer the answer is read from.  It stores codes for that band alone, as
+a column slice of one code buffer per table; ``dp_cell_ops`` counts the
+cells touched.
 Total work is O(n^2 * pivot_weight) cell operations.
 
 When both sides carry the same weights (the ssr encoding, factor-r with
@@ -50,6 +53,7 @@ returns the better pair as two index frozensets.  Wrap them with
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,6 +84,7 @@ class _SideView:
     far: int
     pivot_weight: int
     cand_bases: tuple[int, ...]   # near weight <= pivot weight (zero-weight included)
+    cand_set: frozenset[int]      # the same bases, for membership tests
     exact_bases: frozenset[int]   # near weight == pivot weight
     heavy_bases: frozenset[int]   # far weight >= pivot weight
     cap: int                      # sum of candidate near weights
@@ -91,7 +96,7 @@ def _side_view(weights: Sequence[int], n: int, near: int, pivot_weight: int) -> 
     exact = frozenset(i for i in cand if weights[i + near - 1] == pivot_weight)
     heavy = frozenset(i for i in range(1, n + 1) if weights[i + far - 1] >= pivot_weight)
     cap = sum(weights[i + near - 1] for i in cand)
-    return _SideView(n, near, far, pivot_weight, cand, exact, heavy, cap)
+    return _SideView(n, near, far, pivot_weight, cand, frozenset(cand), exact, heavy, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +116,6 @@ def _heavy_singleton(
     """
     if counter is not None:
         counter.add(len(view.heavy_bases))
-    cand_set = frozenset(view.cand_bases)
     best_num = best_den = 0
     best_base = None
     for i in sorted(view.heavy_bases):
@@ -120,7 +124,7 @@ def _heavy_singleton(
             continue
         if not (view.exact_bases - {i}):
             continue
-        removed = weights[i + view.near - 1] if i in cand_set else 0
+        removed = weights[i + view.near - 1] if i in view.cand_set else 0
         denom = view.cap - removed
         assert denom >= view.pivot_weight > 0
         if best_base is None or far_w * best_den < best_num * denom:
@@ -155,11 +159,18 @@ _EMPTY = np.iinfo(np.int32).min
 _CARRY = 6          # priority of the carry, the first candidate of every layer
 _NO_CELL = 7        # stored priority of an empty cell
 
-# Flag layers some pair of a row can occupy; each set is one basic slice.
-_LIVE_SETS = ((0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3))
+# Flag layers a row keeps: reachable by some pair and still completable to
+# the answer layer 3 (see _row_plan).  Each set is one basic slice; the
+# fill starts from the first.
+_LIVE_SETS = (
+    (0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3),
+    (1,), (2,), (3,), (1, 3), (2, 3), (),
+)
 
 
 def _as_slice(layers: Sequence[int]) -> slice:
+    if not layers:
+        return slice(0, 0)
     step = layers[1] - layers[0] if len(layers) > 1 else 1
     assert list(layers) == list(range(layers[0], layers[-1] + 1, step))
     return slice(layers[0], layers[-1] + 1, step)
@@ -170,32 +181,45 @@ _LIVE_SLICES = tuple(_as_slice(live) for live in _LIVE_SETS)
 
 @dataclass(frozen=True)
 class _RowPlan:
-    """The numpy work of one row, fixed by its live set and flag bits.
+    """The numpy work of one row, fixed by its live set, flag bits and the
+    flag bits later rows can still set.
 
-    `far` and `near` hold one (source layers, target layers, layer count,
-    priority) pass for the live sources without the row's bit and one for
-    those with it.  Priorities: carry 6, far extension 5, near extension 3,
-    one less from a source holding the bit.  Two sources of one kind share
-    a target only when the higher one alone holds the bit, so this is the
-    sequential order: carry, far, near, each by ascending source.
-    `lut[layer][priority]` is the decision code of that candidate (255:
-    none).  `after[far ran][near ran]` indexes the next row's live set.
+    A layer is alive after the row while later rows can still complete it
+    to layer 3; only alive layers are written.  `carry` holds the live
+    layers that stay alive (`carried` of them).  `far` and `near` hold one
+    (source layers, target layers, layer count, priority) pass for the live
+    sources without the row's bit and one for those with it, each keeping
+    only sources whose target is alive.  Priorities: carry 6, far extension
+    5, near extension 3, one less from a source holding the bit.  Two
+    sources of one kind share a target only when the higher one alone
+    holds the bit, so this is the sequential order: carry, far, near, each
+    by ascending source.  `lut[layer][priority]` is the decision code of
+    that candidate (255: none).  `after[far ran][near ran]` indexes the
+    next row's live set.
     """
 
+    carry: slice
+    carried: int
     far: tuple[tuple[slice, slice, int, int], ...]
     near: tuple[tuple[slice, slice, int, int], ...]
     lut: tuple[tuple[int, ...], ...]
     after: tuple[tuple[int, int], tuple[int, int]]
 
 
-def _row_plan(live: tuple[int, ...], far_bit: int, near_bit: int) -> _RowPlan:
+@functools.cache
+def _row_plan(live: int, far_bit: int, near_bit: int, later: int) -> _RowPlan:
+    """Plan of a row whose live set is _LIVE_SETS[live] and after which
+    rows can still set the flag bits in `later`."""
+    sources = _LIVE_SETS[live]
+    alive = {s for s in range(4) if s | later == 3}
     # decision codes: carry = layer, take_near = 4 + source, take_far = 8 + source
     lut = tuple(
         (255, 255, 4 + t, 4 + (t & ~near_bit), 8 + t, 8 + (t & ~far_bit), t, 255) for t in range(4)
     )
 
     def passes(bit: int, prio: int) -> tuple[tuple[slice, slice, int, int], ...]:
-        groups = ([s for s in live if not s & bit], [s for s in live if s & bit])
+        useful = [s for s in sources if s | bit in alive]
+        groups = ([s for s in useful if not s & bit], [s for s in useful if s & bit])
         return tuple(
             (_as_slice(srcs), _as_slice([s | bit for s in srcs]), len(srcs), prio - held)
             for held, srcs in enumerate(groups)
@@ -203,24 +227,20 @@ def _row_plan(live: tuple[int, ...], far_bit: int, near_bit: int) -> _RowPlan:
         )
 
     def after(far_ran: bool, near_ran: bool) -> int:
-        grown = set(live)
-        grown |= {s | far_bit for s in live if far_ran}
-        grown |= {s | near_bit for s in live if near_ran}
-        return _LIVE_SETS.index(tuple(sorted(grown)))
+        grown = set(sources)
+        grown |= {s | far_bit for s in sources if far_ran}
+        grown |= {s | near_bit for s in sources if near_ran}
+        return _LIVE_SETS.index(tuple(sorted(grown & alive)))
 
+    carried = [s for s in sources if s in alive]
     return _RowPlan(
+        _as_slice(carried),
+        len(carried),
         passes(far_bit, 5),
         passes(near_bit, 3),
         lut,
         tuple((after(f, False), after(f, True)) for f in (False, True)),
     )
-
-
-# _ROW_PLANS[live set][far element heavy][near element pivot-valued]
-_ROW_PLANS = tuple(
-    tuple(tuple(_row_plan(live, heavy, exact) for exact in (0, 2)) for heavy in (0, 1))
-    for live in _LIVE_SETS
-)
 
 
 def _keys_fit_int32(cap: int) -> bool:
@@ -248,23 +268,27 @@ class DifferenceTable:
     Rows 0..n process base indices in order; the difference axis spans
     [-2*cap, cap]; the two flags record whether the near set already holds
     a pivot-valued element and whether the far set already holds a heavy
-    element.  A cell stores the largest total sum among all pairs with
-    that coordinate, plus the decision that produced it, so any cell can
-    be reconstructed by backtracking.  Row 0 holds the empty pair at
-    difference 0 with both flags clear.  Totals are kept for the final
-    row only.
+    element.  Only cells whose flags rows after theirs can still complete
+    to both flags are kept: a layer without the pivot-value flag dies
+    after the last row with a pivot-valued near weight, one without the
+    heavy flag after the last row with a heavy far weight, and the final
+    row holds the both-flags layer alone.  A kept cell stores the largest
+    total sum among all pairs with that coordinate, plus the decision that
+    produced it, so it can be reconstructed by backtracking.  Row 0 holds
+    the empty pair at difference 0 with both flags clear, kept if some row
+    can set each flag.  Totals are kept for the final row only.
 
     Row i can only occupy its live band of columns,
     [offset - min(2*cap, far prefix sum), offset + candidate near prefix
-    sum], and only the flag layers some earlier row could set.  The fill
-    touches nothing else.  It works on int32 keys, total * 8 + priority,
-    with _EMPTY for an empty cell, in two (4, width) row buffers that it
-    swaps and a (4, final band) scratch buffer: per row one add
-    for the carry and, per extension phase, one add into the scratch and
-    one maximum over all live layers (a second pair where two source
-    layers share a target).  Priorities follow the rule in _RowPlan, so
-    the maximum keeps the sequential order's first candidate with the
-    largest total.  At row end the 3-bit priorities of the band (7:
+    sum], and only the flag layers some earlier row could set and some
+    later rows can complete.  The fill touches nothing else.  It works on
+    int32 keys, total * 8 + priority, with _EMPTY for an empty cell, in
+    two (4, width) row buffers that it swaps and a (4, final band) scratch
+    buffer: per row one add for the carry and, per extension phase, one
+    add into the scratch and one maximum over the live layers (a second
+    pair where two source layers share a target).  Priorities follow the
+    rule in _RowPlan, so the maximum keeps the sequential order's first
+    candidate with the largest total.  At row end the 3-bit priorities of the band (7:
     empty) are stored as uint8 with the band's first column, and cleared
     from the keys; the row's plan maps a priority back to its decision
     code.  The codes of all rows share one (4, summed band widths) buffer,
@@ -308,7 +332,7 @@ class DifferenceTable:
     def _bands(self) -> list[tuple[int, int]]:
         """First and last live column of rows 0..n; each contains the last."""
         w, near, far = self.weights, self.near, self.far
-        cand_set = frozenset(self.view.cand_bases)
+        cand_set = self.view.cand_set
         lo = hi = self.offset
         bands = [(lo, hi)]
         for i in range(1, self.n + 1):
@@ -325,7 +349,12 @@ class DifferenceTable:
 
     def _fill(self, bands: list[tuple[int, int]], counter: OpCounter | None) -> None:
         w, n, near, far, v = self.weights, self.n, self.near, self.far, self.pivot_weight
-        cand_set = frozenset(self.view.cand_bases)
+        view = self.view
+        # later[i]: the flag bits rows after row i can still set; a layer s
+        # of row i can reach the answer layer 3 only while s | later[i] == 3
+        later = [0] * (n + 1)
+        for i in range(n, 0, -1):
+            later[i - 1] = later[i] | 2 * (i in view.exact_bases) | (i in view.heavy_bases)
         ops = 0
         x = np.full((4, self.width), _EMPTY, dtype=np.int32)
         y = np.full((4, self.width), _EMPTY, dtype=np.int32)
@@ -339,13 +368,15 @@ class DifferenceTable:
             far_w = w[i + far - 1]
             lo0, hi0 = bands[i - 1]
             lo, hi = bands[i]
-            plan = _ROW_PLANS[live][far_w >= v][near_w == v]
-            count = len(_LIVE_SETS[live])
-            # y holds row i-2, whose band and layers lie inside row i-1's;
-            # everything outside them is still _EMPTY
-            layers = _LIVE_SLICES[live]
-            np.add(x[layers, lo0:hi0 + 1], _CARRY, out=y[layers, lo0:hi0 + 1])
-            ops += count * (hi0 - lo0 + 1)
+            plan = _row_plan(live, int(far_w >= v), 2 * (near_w == v), later[i])
+            # y holds row i-2.  A layer alive after row i is either carried
+            # over row i-1's band, which contains every earlier band, or was
+            # never reached and is still _EMPTY; layers that died keep stale
+            # keys that no row reads
+            if plan.carried:
+                layers = plan.carry
+                np.add(x[layers, lo0:hi0 + 1], _CARRY, out=y[layers, lo0:hi0 + 1])
+                ops += plan.carried * (hi0 - lo0 + 1)
             # far-set extension: difference shifts down by far_w; writes below
             # -2*cap fall off the window (they cannot belong to an optimal
             # pair of this regime)
@@ -357,37 +388,41 @@ class DifferenceTable:
                     np.add(x[src, lo + far_w:hi0 + 1], prio + 8 * far_w, out=buf)
                     dest = y[tgt, lo:lo + span]
                     np.maximum(dest, buf, out=dest)
-                ops += count * span
+                    ops += k * span
             # near-set extension: only candidate bases; difference shifts up
-            near_on = near_w > 0 and i in cand_set
+            near_on = near_w > 0 and i in view.cand_set
             if near_on:
                 for src, tgt, k, prio in plan.near:
                     buf = z[:k, :hi0 - lo0 + 1]
                     np.add(x[src, lo0:hi0 + 1], prio + 8 * near_w, out=buf)
                     dest = y[tgt, lo0 + near_w:hi + 1]
                     np.maximum(dest, buf, out=dest)
-                ops += count * (hi0 - lo0 + 1)
+                    ops += k * (hi0 - lo0 + 1)
             live = plan.after[far_on][near_on]
-            # store the band's priorities, 7 for a negative (empty) key, then
-            # clear them from the keys
-            layers = _LIVE_SLICES[live]
-            keys = y[layers, lo:hi + 1]
-            low = z[:len(_LIVE_SETS[live]), :hi - lo + 1]
-            # (np.maximum with a scalar -1 does the same, but numpy 2 runs
-            # a scalar maximum far slower than these two)
-            np.right_shift(keys, 31, out=low)
-            np.bitwise_or(low, keys, out=low)  # negative keys become -1
             code = codes[:, start:start + hi - lo + 1]
             start += hi - lo + 1
-            stored = code[layers]
-            np.copyto(stored, low, casting="unsafe")  # the low byte
-            np.bitwise_and(stored, 7, out=stored)
-            np.bitwise_and(keys, -8, out=keys)
+            count = len(_LIVE_SETS[live])
+            if count:
+                # store the band's priorities, 7 for a negative (empty) key,
+                # then clear them from the keys
+                layers = _LIVE_SLICES[live]
+                keys = y[layers, lo:hi + 1]
+                low = z[:count, :hi - lo + 1]
+                # (np.maximum with a scalar -1 does the same, but numpy 2 runs
+                # a scalar maximum far slower than these two)
+                np.right_shift(keys, 31, out=low)
+                np.bitwise_or(low, keys, out=low)  # negative keys become -1
+                stored = code[layers]
+                np.copyto(stored, low, casting="unsafe")  # the low byte
+                np.bitwise_and(stored, 7, out=stored)
+                np.bitwise_and(keys, -8, out=keys)
             self._steps.append((lo, code, plan.lut))
             x, y = y, x
         lo, hi = bands[n]
-        np.right_shift(x[:, lo:hi + 1], 3, out=x[:, lo:hi + 1])  # keys to totals
-        self.final = x
+        # the final row keeps layer 3 alone (later[n] == 0)
+        final = x[3]
+        np.right_shift(final[lo:hi + 1], 3, out=final[lo:hi + 1])  # keys to totals
+        self.final = final
         self._final_band = (lo, hi)
         ops += hi - lo + 1  # final scan
         if counter is not None:
@@ -412,22 +447,29 @@ class DifferenceTable:
         return lut[layer][code[layer, k]] if 0 <= k < code.shape[1] else 255
 
     def occupied(self, row: int, diff: int, has_pivot_value: bool, has_heavy: bool) -> bool:
+        """Whether the table keeps a pair at this cell.
+
+        A cell whose flags no later row can complete to both flags reads
+        unoccupied even when some pair reaches it; in the final row only
+        the both-flags layer can be occupied.
+        """
         layer = self._layer(has_pivot_value, has_heavy)
         col = self._column(diff)
         if row == 0:
-            return layer == 0 and diff == 0
+            completable = bool(self.view.exact_bases and self.view.heavy_bases)
+            return layer == 0 and diff == 0 and completable
         if not 1 <= row <= self.n:
             raise ValueError(f"row {row} out of range 0..{self.n}")
         return self._code(row, layer, col) != 255
 
     def cell(self, row: int, diff: int, has_pivot_value: bool, has_heavy: bool) -> DpCell:
-        """Cell view with its stored total; only the final row keeps totals."""
+        """Cell view with its stored total; only the final row keeps totals,
+        and there only the both-flags layer is occupied."""
         if row != self.n:
             raise ValueError(f"cell totals are kept for the final row {self.n} only")
         if not self.occupied(row, diff, has_pivot_value, has_heavy):
             return DpCell.empty()
-        layer = self._layer(has_pivot_value, has_heavy)
-        return DpCell(True, int(self.final[layer][self._column(diff)]))
+        return DpCell(True, int(self.final[self._column(diff)]))
 
     # -- reconstruction -----------------------------------------------------
 
@@ -485,7 +527,7 @@ class DifferenceTable:
             raise AssertionError("pivot-value flag inconsistent with the near set")
         if (layer & 1 != 0) != any(self.weights[j - 1] >= v for j in s2):
             raise AssertionError("heavy flag inconsistent with the far set")
-        if sum1 + sum2 != int(self.final[layer][diff + self.offset]):
+        if sum1 + sum2 != int(self.final[diff + self.offset]):
             raise AssertionError("reconstructed total does not match the stored cell")
 
     # -- final scan ---------------------------------------------------------
@@ -498,7 +540,7 @@ class DifferenceTable:
         the smaller, compared exactly.
         """
         lo, hi = self._final_band
-        totals = self.final[3, lo:hi + 1]
+        totals = self.final[lo:hi + 1]
         cols = np.nonzero(totals >= 0)[0]
         if cols.size == 0:
             return None

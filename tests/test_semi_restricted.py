@@ -24,9 +24,9 @@ from ssratio.semi_restricted import (
     MAX_TABLE_BYTES,
     _CARRY,
     _LIVE_SETS,
-    _ROW_PLANS,
     _heavy_singleton,
     _keys_fit_int32,
+    _row_plan,
     _side_view,
 )
 from conftest import random_pairs
@@ -211,17 +211,24 @@ class TestOracleEquivalence:
 def reference_cells(weights, n, near, pivot_weight, rows=None):
     """Independent enumeration of everything the table may contain.
 
-    A pair qualifies iff its near set uses only candidate elements and the
+    A pair qualifies iff its near set uses only candidate elements, the
     running difference (processing bases in order) never drops below
-    -2*cap.  Only bases 1..rows are offered (all n by default), which gives
-    the cells of row `rows`.  Returns {(diff, has_pivot, has_heavy): max
-    total} and the cap.
+    -2*cap, and the bases after `rows` can still complete its flags: a
+    pivot-valued near weight among them if it lacks the pivot flag, a far
+    weight of at least the pivot weight if it lacks the heavy flag.  Only
+    bases 1..rows are offered (all n by default), which gives the cells of
+    row `rows`.  Returns {(diff, has_pivot, has_heavy): max total} and the
+    cap.
     """
     far = n - near
+    rows = n if rows is None else rows
     cand = {i for i in range(1, n + 1) if weights[i + near - 1] <= pivot_weight}
     cap = sum(weights[i + near - 1] for i in cand)
+    later = range(rows + 1, n + 1)
+    can_pivot = any(weights[j + near - 1] == pivot_weight for j in later)
+    can_heavy = any(weights[j + far - 1] >= pivot_weight for j in later)
     best: dict[tuple[int, bool, bool], int] = {}
-    for assign in product((0, 1, 2), repeat=n if rows is None else rows):
+    for assign in product((0, 1, 2), repeat=rows):
         if any(choice == 1 and base not in cand for base, choice in enumerate(assign, 1)):
             continue
         diff = total = 0
@@ -241,7 +248,7 @@ def reference_cells(weights, n, near, pivot_weight, rows=None):
             if diff < -2 * cap:
                 ok = False
                 break
-        if not ok:
+        if not ok or not ((has_pivot or can_pivot) and (has_heavy or can_heavy)):
             continue
         key = (diff, has_pivot, has_heavy)
         if best.get(key, -1) < total:
@@ -277,7 +284,8 @@ class TestDifferenceTable:
 
     def test_inner_rows_match_reference(self, dp_battery):
         # every row, every column of the window: cells outside a row's
-        # stored band read as unoccupied
+        # stored band, and cells whose flags later rows cannot complete,
+        # read as unoccupied
         for weights, n, near, v in self.tables(dp_battery):
             table = DifferenceTable(weights, n, near, v)
             for row in range(n + 1):
@@ -328,20 +336,29 @@ class TestDifferenceTable:
                 assert counter.cells <= 100 * n * n * pivot_weight + 200
 
 
-def reference_fill(weights, n, near, pivot_weight):
+def reference_fill(weights, n, near, pivot_weight, prune=True):
     """Reference for DifferenceTable's fill: a sequential per-layer kernel.
 
     Writes each candidate in turn (carry, far extensions, near extensions,
     each by ascending source layer) with the sequential strict-> rule.
-    Returns the decision codes of rows 1..n as an (n, 4, width) array (255:
-    empty), the final totals (-1: empty), the cells touched, and what the
-    fill met: each row's live layers, candidates that tied a stored total,
-    zero weights and far weights that fell off the window.
+    With `prune`, a row writes only layers that the rows after it can
+    still complete to both flags.  Returns the decision codes of rows 1..n
+    as an (n, 4, width) array (255: empty), the final totals (-1: empty),
+    the cells touched, and what the fill met: each row's live layers,
+    candidates that tied a stored total, zero weights and far weights that
+    fell off the window.
     """
     far = n - near
     view = _side_view(weights, n, near, pivot_weight)
     cand_set = frozenset(view.cand_bases)
     cap, v = view.cap, pivot_weight
+
+    def completable(layer, row):
+        later = range(row + 1, n + 1)
+        has_pivot = layer & 2 or any(weights[j + near - 1] == v for j in later)
+        has_heavy = layer & 1 or any(weights[j + far - 1] >= v for j in later)
+        return not prune or (has_pivot and has_heavy)
+
     width, offset = 3 * cap + 1, 2 * cap
     seen = {"live": set(), "ties": 0, "zeros": 0, "fell_off": 0}
     codes = np.full((n, 4, width), 255, dtype=np.int16)
@@ -360,6 +377,8 @@ def reference_fill(weights, n, near, pivot_weight):
         y = np.full((4, width), -1, dtype=np.int64)
         code = codes[i - 1]
         for layer in live:
+            if not completable(layer, i):
+                continue
             y[layer, lo0:hi0 + 1] = x[layer, lo0:hi0 + 1]
             code[layer, lo0:hi0 + 1][x[layer, lo0:hi0 + 1] >= 0] = layer  # carry
             ops += hi0 - lo0 + 1
@@ -370,6 +389,8 @@ def reference_fill(weights, n, near, pivot_weight):
         if far_w > 0 and span > 0:
             for src in live:
                 tgt = (src | 1) if far_w >= v else src
+                if not completable(tgt, i):
+                    continue
                 src_vals = x[src, lo + far_w:hi0 + 1]
                 dest = y[tgt, lo:lo + span]
                 seen["ties"] += int(((src_vals >= 0) & (src_vals + far_w == dest)).sum())
@@ -382,6 +403,8 @@ def reference_fill(weights, n, near, pivot_weight):
         if near_w > 0 and i in cand_set:
             for src in live:
                 tgt = (src | 2) if near_w == v else src
+                if not completable(tgt, i):
+                    continue
                 src_vals = x[src, lo0:hi0 + 1]
                 dest = y[tgt, lo0 + near_w:hi + 1]
                 seen["ties"] += int(((src_vals >= 0) & (src_vals + near_w == dest)).sum())
@@ -391,7 +414,7 @@ def reference_fill(weights, n, near, pivot_weight):
                 ops += hi0 - lo0 + 1
             if near_w == v:
                 grown |= {layer | 2 for layer in live}
-        live = sorted(grown)
+        live = sorted(layer for layer in grown if completable(layer, i))
         x = y
     ops += hi - lo + 1  # final scan
     return codes, x, ops, seen
@@ -406,12 +429,46 @@ def decoded_codes(table):
     return out
 
 
+def reference_answer(final3, offset):
+    """(difference, total) of the first min-ratio cell of a final layer."""
+    best = None
+    for col, total in enumerate(final3):
+        if total < 0:
+            continue
+        diff = col - offset
+        ratio = Fraction(total + abs(diff), total - abs(diff))
+        if best is None or ratio < best[0]:
+            best = (ratio, diff, int(total))
+    return None if best is None else best[1:]
+
+
+def reference_backtrack(codes, weights, n, near, offset, diff):
+    """The pair stored at (row n, diff, both flags) of a reference fill."""
+    far = n - near
+    s1, s2 = set(), set()
+    layer, col = 3, diff + offset
+    for row in range(n, 0, -1):
+        decision, layer = divmod(int(codes[row - 1, layer, col]), 4)
+        if decision == 1:
+            s1.add(row + near)
+            col -= weights[row + near - 1]
+        elif decision == 2:
+            s2.add(row + far)
+            col += weights[row + far - 1]
+    assert (layer, col) == (0, offset)
+    return frozenset(s1), frozenset(s2)
+
+
 class TestPackedKernel:
     def instances(self):
         rng = random.Random(0x5EED)
         # base 1 is (v, v): its row both sets the heavy flag and adds a
-        # pivot-valued element, so the live set jumps from (0) to (0, 1, 2)
+        # pivot-valued element.  No later row sets either flag in the
+        # first instance, so no pair can reach both and the live set drops
+        # from (0,) to (); in the second, base 2 is (v, v) too, so it jumps
+        # to (0, 1, 2) and then to (3,)
         yield (4, 1, 3, 4, 2, 1), 3, 0, 4
+        yield (4, 4, 1, 4, 4, 1), 3, 0, 4
         for _ in range(60):
             n = rng.randint(1, 7)
             kind = rng.randrange(4)
@@ -439,22 +496,50 @@ class TestPackedKernel:
             assert (decoded_codes(table) == codes).all(), where
             lo, hi = table._final_band
             got = np.where(table.final >= 0, table.final, -1)
-            assert (got[:, lo:hi + 1] == final[:, lo:hi + 1]).all(), where
-            assert (final[:, :lo] == -1).all() and (final[:, hi + 1:] == -1).all(), where
+            assert (got[lo:hi + 1] == final[3, lo:hi + 1]).all(), where
+            assert (final[3, :lo] == -1).all() and (final[3, hi + 1:] == -1).all(), where
             met["live"] |= seen["live"]
             for key in ("ties", "zeros", "fell_off"):
                 met[key] += seen[key]
-        assert met["live"] == {(0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3)}
+        assert met["live"] == {
+            (0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3),
+            (1,), (2,), (3,), (1, 3), (2, 3), (),
+        }
         assert met["ties"] > 0 and met["zeros"] > 0 and met["fell_off"] > 0
 
+    def test_answer_matches_unpruned_reference(self):
+        # the both-flags layer, and so the answer, is the one a fill that
+        # keeps every reachable layer computes, at no more cells
+        fewer = 0
+        for weights, n, near, v in self.instances():
+            counter = OpCounter()
+            table = DifferenceTable(weights, n, near, v, counter)
+            codes, final, ops, _ = reference_fill(weights, n, near, v, prune=False)
+            where = (weights, n, near, v)
+            assert (decoded_codes(table)[:, 3] == codes[:, 3]).all(), where
+            want = reference_answer(final[3], table.offset)
+            assert table.best_cell() == want, where
+            if want is not None:
+                expected = reference_backtrack(codes, weights, n, near, table.offset, want[0])
+                assert table.reconstruct(want[0]) == expected, where
+            assert counter.cells <= ops, where
+            fewer += counter.cells < ops
+        assert fewer > 0
+
     def test_row_plans_follow_sequential_order(self):
-        # every (live set, far bit, near bit): per target layer, the carry,
-        # then far and then near extensions by ascending source, must get
-        # strictly decreasing priorities that the lut maps back to their codes
-        for (k, live), (fi, far_bit), (ni, near_bit) in product(
-            enumerate(_LIVE_SETS), enumerate((0, 1)), enumerate((0, 2))
+        # every (live set, far bit, near bit, flag bits later rows can set):
+        # only layers the later rows can complete to both flags are written;
+        # per such target layer, the carry, then far and then near
+        # extensions by ascending source, must get strictly decreasing
+        # priorities that the lut maps back to their codes
+        for (k, live), far_bit, near_bit, later in product(
+            enumerate(_LIVE_SETS), (0, 1), (0, 2), range(4)
         ):
-            plan = _ROW_PLANS[k][fi][ni]
+            plan = _row_plan(k, far_bit, near_bit, later)
+            where = (live, far_bit, near_bit, later)
+            alive = {s for s in range(4) if (s & 2 or later & 2) and (s & 1 or later & 1)}
+            carried = [s for s in live if s in alive]
+            assert list(range(4)[plan.carry]) == carried and plan.carried == len(carried), where
             prio: dict[int, int] = {}  # decision code -> priority
             for passes, bit, decision in ((plan.far, far_bit, 8), (plan.near, near_bit, 4)):
                 seen = []
@@ -464,16 +549,22 @@ class TestPackedKernel:
                     priorities = np.broadcast_to(np.asarray(p[-1]).reshape(-1), (len(srcs),))
                     prio.update((decision + s, int(q)) for s, q in zip(srcs, priorities))
                     seen += srcs
-                assert sorted(seen) == list(live)
-            for layer in range(4):
+                assert sorted(seen) == [s for s in live if s | bit in alive], where
+            for layer in alive:
                 order = [layer] if layer in live else []
                 order += [8 + s for s in live if s | far_bit == layer]
                 order += [4 + s for s in live if s | near_bit == layer]
                 ranks = [_CARRY if code == layer else prio[code] for code in order]
-                where = (live, far_bit, near_bit, layer)
-                assert all(a > b for a, b in zip(ranks, ranks[1:])), where
-                assert all(plan.lut[layer][q] == code for q, code in zip(ranks, order)), where
-                assert plan.lut[layer][7] == 255, where
+                at = where + (layer,)
+                assert all(a > b for a, b in zip(ranks, ranks[1:])), at
+                assert all(plan.lut[layer][q] == code for q, code in zip(ranks, order)), at
+                assert plan.lut[layer][7] == 255, at
+            for far_ran, near_ran in product((False, True), repeat=2):
+                grown = set(live)
+                grown |= {s | far_bit for s in live if far_ran}
+                grown |= {s | near_bit for s in live if near_ran}
+                after = _LIVE_SETS[plan.after[far_ran][near_ran]]
+                assert after == tuple(sorted(grown & alive)), where
 
     def test_int32_headroom_at_byte_limit(self):
         # the row buffers alone take 2 * 4 * 4 bytes per column of the
