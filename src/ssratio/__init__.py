@@ -5,8 +5,11 @@ generic FPTAS driver on top of it, reductions that route the plain and
 factor-r variants through the same engine, and brute-force oracles for
 verification.  All solver arithmetic is exact-rational.
 
-One entry per concept: exact_solver (one pivot), fptas_solve (two-set),
-encode_ssr_weights/encode_factor_r_weights and decode (source problems).
+One entry per concept: scale_instance (one pivot's scaled weights),
+exact_solver (one pivot), fptas_solve (two-set), encode_ssr_weights/
+encode_factor_r_weights and decode (source problems).  DifferenceTable is
+exported for inspecting one side search's table; the scaling-lemma
+checkers are test code (tests/scaling_checks.py), not package API.
 """
 
 from .core import (
@@ -29,15 +32,11 @@ from .oracle import (
 )
 from .semi_restricted import (
     DifferenceTable,
-    DpCell,
     exact_solver,
 )
 from .fptas import (
     ApproxResult,
     PivotLog,
-    ScaleContext,
-    check_optimum_scaling,
-    check_pivot_inequalities,
     fptas_solve,
     scale_instance,
     scaled_pair_value,
@@ -67,13 +66,9 @@ __all__ = [
     "brute_force_two_set",
     "semi_restricted_optima_by_value",
     "DifferenceTable",
-    "DpCell",
     "exact_solver",
     "ApproxResult",
     "PivotLog",
-    "ScaleContext",
-    "check_optimum_scaling",
-    "check_pivot_inequalities",
     "fptas_solve",
     "scale_instance",
     "scaled_pair_value",

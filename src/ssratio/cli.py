@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 from .core import SolutionPair, TwoSetInstance, check_feasible_semi_restricted, parse_rational
 from . import oracle as oracle_mod
-from .fptas import ApproxResult, fptas_solve
+from .fptas import ApproxResult, _floor_scaled, fptas_solve
 from .reductions import decode, encode_factor_r_weights, encode_ssr_weights
 
 FORMAT_VERSION = 1
@@ -429,13 +429,12 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     if _is_index(pivot_m, 2 * n) and not check_feasible_semi_restricted(sol, encoded, pivot_m):
         problems.append(f"the smaller set maximum is not the weight of pivot_m {pivot_m}")
     if _is_index(pivot_used, 2 * n):
-        # pivot claim in scaled weights floor(w / delta), delta = epsilon *
-        # w_m / 6n: flooring can merge distinct original weights, so the
-        # claim on original weights fails for some correct outputs
-        eps = options["epsilon"]
-        per_delta = 6 * n / (eps * encoded.weight(pivot_used))
-        smaller_max = min(max(map(encoded.weight, side)) for side in (sol.s1, sol.s2))
-        if math.floor(smaller_max * per_delta) != math.floor(6 * n / eps):
+        # pivot claim in the pivot's scaled weights: flooring can merge
+        # distinct original weights, so the claim on original weights fails
+        # for some correct outputs
+        scaled = _floor_scaled(encoded.weights, pivot_used, options["epsilon"])
+        smaller_max = min(max(scaled[i - 1] for i in side) for side in (sol.s1, sol.s2))
+        if smaller_max != scaled[pivot_used - 1]:
             problems.append(f"the smaller set maximum does not scale to pivot {pivot_used}")
     return problems
 

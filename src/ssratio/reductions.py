@@ -36,21 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecodedSolution:
-    """Solution mapped back to base indices."""
+    """Solution mapped back to base indices; both sets empty means
+    infeasible.  Built by `decode` alone, which validates the pair first."""
 
     s1: frozenset[int]
     s2: frozenset[int]
     r_multiplied: str | None = None  # "s1" or "s2" for factor-r sources
-
-    def __post_init__(self) -> None:
-        if self.s1 & self.s2:
-            raise ValueError("decoded sets must be disjoint")
-        if bool(self.s1) != bool(self.s2):
-            raise ValueError("decoded sets must be both empty or both nonempty")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.s1 and not self.s2
 
 
 def encode_ssr_weights(weights: Sequence[RationalLike]) -> TwoSetInstance:

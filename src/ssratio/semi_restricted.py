@@ -49,6 +49,10 @@ and mirrors its result into the other.
 integer weight list and a 1-based pivot, runs both regimes per side and
 returns the better pair as two index frozensets.  Wrap them with
 ``SolutionPair.from_sets(weights, s1, s2)`` for sums and the objective.
+A ``DifferenceTable`` can also be built and read on its own:
+``occupied`` for any kept cell, and ``total``, ``best_cell`` and
+``reconstruct`` for the final row's both-flags layer, the only one whose
+totals it keeps.
 """
 
 from __future__ import annotations
@@ -62,13 +66,21 @@ import numpy as np
 from .core import OpCounter
 
 __all__ = [
-    "DpCell",
     "DifferenceTable",
     "exact_solver",
 ]
 
 # Largest DifferenceTable, in bytes of row buffers, scratch and decision codes.
+# Its two (4, 3 * cap + 1) int32 row buffers alone bound the cap, and at that
+# cap every key stays inside int32 (keys are total * 8 + priority, see
+# DifferenceTable): an occupied key is below 8 * (7 * cap + 1) + 6, and an
+# empty cell, which starts at -2**31 and gains at most 8 * (its element's
+# weight) per row, stays below -2**31 + 8 * (5 * cap + 1) + 6 along any chain
+# of rows (near weights add up to at most cap, and far weights, whose shifts
+# keep the column inside the window, to at most 4 * cap + 1).
 MAX_TABLE_BYTES = 2 << 30
+_MAX_CAP = (MAX_TABLE_BYTES // 32 - 1) // 3
+assert 8 * (7 * _MAX_CAP + 1) + 6 < 2**31 and -(2**31) + 8 * (5 * _MAX_CAP + 1) + 6 < 0
 
 # ---------------------------------------------------------------------------
 # value-based per-side view
@@ -141,20 +153,8 @@ def _heavy_singleton(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DpCell:
-    """Read-only view of one table cell."""
-
-    occupied: bool
-    total: int | None = None
-
-    @classmethod
-    def empty(cls) -> "DpCell":
-        return cls(False)
-
-
 # Keys are total * 8 + priority (see DifferenceTable).  An empty cell holds
-# _EMPTY, and sums built on it stay negative (see _keys_fit_int32).
+# _EMPTY, and sums built on it stay negative (see MAX_TABLE_BYTES).
 _EMPTY = np.iinfo(np.int32).min
 _CARRY = 6          # priority of the carry, the first candidate of every layer
 _NO_CELL = 7        # stored priority of an empty cell
@@ -243,20 +243,6 @@ def _row_plan(live: int, far_bit: int, near_bit: int, later: int) -> _RowPlan:
     )
 
 
-def _keys_fit_int32(cap: int) -> bool:
-    """Whether every key of a table with this cap stays inside int32.
-
-    An occupied key is below 8 * (7 * cap + 1) + 6.  An empty cell starts
-    at _EMPTY, and each row adds at most 8 * (its element's weight) plus a
-    priority that the row end clears again; along any chain of rows the
-    near weights add up to at most cap and the far weights, whose shifts
-    keep the column inside the 3 * cap + 1 wide window, to at most
-    4 * cap + 1, so an empty chain stays below
-    _EMPTY + 8 * (cap + 4 * cap + 1) + 6, which must stay negative.
-    """
-    return 8 * (7 * cap + 1) + 6 < 2**31 and _EMPTY + 8 * (cap + 4 * cap + 1) + 6 < 0
-
-
 def _code_columns(bands: list[tuple[int, int]]) -> int:
     """Columns of the table's code buffer: the bands of rows 1..n side by side."""
     return sum(hi - lo + 1 for lo, hi in bands[1:])
@@ -324,8 +310,6 @@ class DifferenceTable:
             raise ValueError(
                 f"difference table needs {need} bytes, over the {MAX_TABLE_BYTES}-byte limit"
             )
-        if not _keys_fit_int32(self.cap):
-            raise ValueError(f"difference table cap {self.cap} overflows int32 keys")
         self._steps: list[tuple[int, np.ndarray, tuple[tuple[int, ...], ...]]] = []
         self._fill(bands, counter)
 
@@ -430,10 +414,6 @@ class DifferenceTable:
 
     # -- inspection ---------------------------------------------------------
 
-    @staticmethod
-    def _layer(has_pivot_value: bool, has_heavy: bool) -> int:
-        return (2 if has_pivot_value else 0) | (1 if has_heavy else 0)
-
     def _column(self, diff: int) -> int:
         col = diff + self.offset
         if not 0 <= col < self.width:
@@ -453,7 +433,7 @@ class DifferenceTable:
         unoccupied even when some pair reaches it; in the final row only
         the both-flags layer can be occupied.
         """
-        layer = self._layer(has_pivot_value, has_heavy)
+        layer = 2 * has_pivot_value | has_heavy
         col = self._column(diff)
         if row == 0:
             completable = bool(self.view.exact_bases and self.view.heavy_bases)
@@ -462,34 +442,29 @@ class DifferenceTable:
             raise ValueError(f"row {row} out of range 0..{self.n}")
         return self._code(row, layer, col) != 255
 
-    def cell(self, row: int, diff: int, has_pivot_value: bool, has_heavy: bool) -> DpCell:
-        """Cell view with its stored total; only the final row keeps totals,
-        and there only the both-flags layer is occupied."""
-        if row != self.n:
-            raise ValueError(f"cell totals are kept for the final row {self.n} only")
-        if not self.occupied(row, diff, has_pivot_value, has_heavy):
-            return DpCell.empty()
-        return DpCell(True, int(self.final[self._column(diff)]))
+    def total(self, diff: int) -> int | None:
+        """Stored total of the final row's both-flags cell, the only layer
+        the final row keeps; None when that cell is unoccupied."""
+        if not self.occupied(self.n, diff, True, True):
+            return None
+        return int(self.final[self._column(diff)])
 
     # -- reconstruction -----------------------------------------------------
 
-    def reconstruct(
-        self, diff: int, has_pivot_value: bool = True, has_heavy: bool = True
-    ) -> tuple[frozenset[int], frozenset[int]]:
-        """Walk decisions back from the final row and rebuild the stored pair.
+    def reconstruct(self, diff: int) -> tuple[frozenset[int], frozenset[int]]:
+        """Walk decisions back from the final row's both-flags cell at `diff`
+        and rebuild the stored pair.
 
         Verifies index discipline on the way out: the near set only holds
         near-side candidate elements, the far set only far-side elements,
         no base occurs on both sides, the sums reproduce the cell's
-        difference and total, and the flag bits match the rebuilt sets.
+        difference and total, and both flags hold for the rebuilt sets.
         """
-        layer = self._layer(has_pivot_value, has_heavy)
-        col = self._column(diff)
-        if not self.occupied(self.n, diff, has_pivot_value, has_heavy):
+        if self.total(diff) is None:
             raise ValueError("cannot reconstruct an unoccupied cell")
         s1: set[int] = set()
         s2: set[int] = set()
-        r, l, c = self.n, layer, col
+        r, l, c = self.n, 3, self._column(diff)
         while r > 0:
             code = self._code(r, l, c)
             if code == 255:
@@ -505,10 +480,10 @@ class DifferenceTable:
             r -= 1
         if l != 0 or c != self.offset:
             raise AssertionError("backtracking did not end at the empty pair")
-        self._check_discipline(s1, s2, diff, layer)
+        self._check_discipline(s1, s2, diff)
         return frozenset(s1), frozenset(s2)
 
-    def _check_discipline(self, s1: set[int], s2: set[int], diff: int, layer: int) -> None:
+    def _check_discipline(self, s1: set[int], s2: set[int], diff: int) -> None:
         v = self.pivot_weight
         lo1, lo2 = self.near + 1, self.far + 1
         if not all(lo1 <= i <= self.near + self.n for i in s1):
@@ -523,10 +498,10 @@ class DifferenceTable:
             raise AssertionError("reconstructed sums do not match the difference axis")
         if any(self.weights[i - 1] > v for i in s1):
             raise AssertionError("near set holds an element above the pivot weight")
-        if (layer & 2 != 0) != any(self.weights[i - 1] == v for i in s1):
-            raise AssertionError("pivot-value flag inconsistent with the near set")
-        if (layer & 1 != 0) != any(self.weights[j - 1] >= v for j in s2):
-            raise AssertionError("heavy flag inconsistent with the far set")
+        if not any(self.weights[i - 1] == v for i in s1):
+            raise AssertionError("near set holds no pivot-valued element")
+        if not any(self.weights[j - 1] >= v for j in s2):
+            raise AssertionError("far set holds no heavy element")
         if sum1 + sum2 != int(self.final[diff + self.offset]):
             raise AssertionError("reconstructed total does not match the stored cell")
 
@@ -592,13 +567,13 @@ def _solve_one_side(
     weights: Sequence[int], n: int, near: int, pivot_weight: int, counter: OpCounter | None
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     """Exact optimum among solutions whose pivot-valued set lies on `near`."""
-    view = _side_view(weights, n, near, pivot_weight)
-    if not view.exact_bases or not view.heavy_bases:
+    far = n - near
+    if pivot_weight not in weights[near:near + n] or max(weights[far:far + n]) < pivot_weight:
         return None
     table = DifferenceTable(weights, n, near, pivot_weight, counter)
     dp_best = table.best_cell()
     dp_sets = table.reconstruct(dp_best[0]) if dp_best is not None else None
-    singleton_sets = _heavy_singleton(weights, view, counter)
+    singleton_sets = _heavy_singleton(weights, table.view, counter)
     # the DP result stands unless the singleton scan is strictly better
     if _strictly_better(weights, singleton_sets, dp_sets):
         return singleton_sets
@@ -663,12 +638,10 @@ def exact_solver(
 
     near = 0 if m <= n else n
     best = search(near)
-    far = n - near
     # the pivot weight may also be realised on the opposite side
-    if any(weights[i + far - 1] == pivot_weight for i in range(1, n + 1)):
-        other = search(far)
-        if _strictly_better(weights, other, best):
-            best = other
+    other = search(n - near)
+    if _strictly_better(weights, other, best):
+        best = other
     if best is None:
         return frozenset(), frozenset()
     return best

@@ -25,8 +25,6 @@ from ssratio import (
     brute_force_ssr,
     brute_force_two_set,
     check_feasible_semi_restricted,
-    check_optimum_scaling,
-    check_pivot_inequalities,
     encode_factor_r_weights,
     encode_ssr_weights,
     exact_solver,
@@ -37,6 +35,7 @@ from ssratio import (
 )
 from ssratio.cli import main as cli_main
 from conftest import GUARANTEE_EPSILONS, random_pairs
+from scaling_checks import check_optimum_scaling, check_pivot_inequalities
 
 
 @contextmanager
@@ -119,12 +118,12 @@ def test_criterion_3_scaling_lemma_suite(guarantee_battery):
             for eps in GUARANTEE_EPSILONS:
                 # per-pivot inequalities on every feasible pivot's returned pair
                 for m in range(1, count + 1):
-                    ctx = scale_instance(instance.weights, m, eps)
-                    s1, s2 = exact_solver(ctx.scaled, m)
+                    scaled = scale_instance(instance.weights, m, eps)
+                    s1, s2 = exact_solver(scaled, m)
                     if not s1:
                         continue
                     pivot_checks += 1
-                    if check_pivot_inequalities(instance.weights, eps, ctx, s1, s2):
+                    if check_pivot_inequalities(instance.weights, eps, m, scaled, s1, s2):
                         hypothesis_held += 1
                     if opt.feasible and check_optimum_scaling(
                         instance.weights, eps, m, opt.best.s1, opt.best.s2
@@ -138,11 +137,11 @@ def test_criterion_3_scaling_lemma_suite(guarantee_battery):
                         i for i in range(1, count + 1)
                         if instance.weight(i) == min(max1, max2)
                     )
-                    ctx = scale_instance(instance.weights, pivot, eps)
-                    s1, s2 = exact_solver(ctx.scaled, pivot)
+                    scaled = scale_instance(instance.weights, pivot, eps)
+                    s1, s2 = exact_solver(scaled, pivot)
                     assert s1 and s2
-                    assert scaled_pair_value(ctx, s1, s2) <= scaled_pair_value(
-                        ctx, opt.best.s1, opt.best.s2
+                    assert scaled_pair_value(scaled, s1, s2) <= scaled_pair_value(
+                        scaled, opt.best.s1, opt.best.s2
                     )
         assert pivot_checks > 0 and optimum_checks > 0
         print(f"  {pivot_checks} pivot inequality checks "
@@ -203,9 +202,9 @@ def test_criterion_4_dp_structure(dp_battery):
                     table = table_for(near, pivot_value)
                     if far_sum > 2 * table.cap:
                         continue  # outside the window this regime guarantees
-                    cell = table.cell(n, diff, True, True)
-                    assert cell.occupied, (pairs, s1, s2)
-                    assert cell.total >= sum1 + sum2, (pairs, s1, s2)
+                    total = table.total(diff)
+                    assert total is not None, (pairs, s1, s2)
+                    assert total >= sum1 + sum2, (pairs, s1, s2)
                     reach_checks += 1
 
             # window bounds and index discipline on every occupied cell
@@ -216,7 +215,8 @@ def test_criterion_4_dp_structure(dp_battery):
                         if not table.occupied(n, diff, hp, hh):
                             continue
                         assert -2 * table.cap <= diff <= table.cap
-                        rs1, rs2 = table.reconstruct(diff, hp, hh)  # raises on violation
+                        assert (hp, hh) == (True, True)  # the final row keeps both flags only
+                        rs1, rs2 = table.reconstruct(diff)  # raises on violation
                         got = sum(weights[i - 1] for i in rs1) - sum(
                             weights[j - 1] for j in rs2
                         )
@@ -293,9 +293,7 @@ def test_criterion_6_runtime_shape():
             trials = []
             for _ in range(2):
                 inst = TwoSetInstance.from_pairs(random_pairs(rng, n, 30))
-                counter = OpCounter()
-                fptas_solve(inst, Fraction(1, 2), counter=counter)
-                trials.append(counter.cells)
+                trials.append(fptas_solve(inst, Fraction(1, 2)).dp_cell_ops)
             mean_ops.append(sum(trials) / len(trials))
         driver_slope = _fit_slope(sizes, mean_ops)
         assert 3.0 <= driver_slope <= 5.0, f"driver slope {driver_slope:.2f}"

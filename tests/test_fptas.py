@@ -14,8 +14,6 @@ from ssratio import (
     SolutionPair,
     TwoSetInstance,
     brute_force_two_set,
-    check_optimum_scaling,
-    check_pivot_inequalities,
     decode,
     encode_factor_r_weights,
     encode_ssr_weights,
@@ -26,13 +24,13 @@ from ssratio import (
 )
 from ssratio import semi_restricted
 from conftest import GUARANTEE_EPSILONS, random_pairs
+from scaling_checks import check_optimum_scaling, check_pivot_inequalities
 
 
 class TestScaleInstance:
     def test_worked_example(self):
-        ctx = scale_instance([3, 10, 2, 8], 2, Fraction(3, 10))
-        assert ctx.delta == Fraction(1, 4)
-        assert ctx.scaled == (12, 40, 8, 32)
+        # delta = (3/10) * 10 / 12 = 1/4
+        assert scale_instance([3, 10, 2, 8], 2, Fraction(3, 10)) == (12, 40, 8, 32)
 
     def test_pivot_scales_to_floor_3n_over_eps(self):
         rng = random.Random(2)
@@ -41,21 +39,23 @@ class TestScaleInstance:
             weights = [Fraction(rng.randint(1, 50), rng.randint(1, 7)) for _ in range(count)]
             m = rng.randint(1, count)
             eps = Fraction(rng.randint(1, 19), 20)
-            ctx = scale_instance(weights, m, eps)
+            scaled = scale_instance(weights, m, eps)
             target = (Fraction(3 * count) / eps).__floor__()
-            assert ctx.scaled[m - 1] == target >= 3 * count
+            assert scaled[m - 1] == target >= 3 * count
 
     def test_floor_bounds_and_order_preservation(self):
         rng = random.Random(3)
         for _ in range(25):
             count = 2 * rng.randint(1, 6)
             weights = [Fraction(rng.randint(1, 60), rng.randint(1, 5)) for _ in range(count)]
-            ctx = scale_instance(weights, rng.randint(1, count), Fraction(rng.randint(1, 9), 10))
-            for w, s in zip(weights, ctx.scaled):
-                assert w - ctx.delta <= ctx.delta * s <= w
+            m, eps = rng.randint(1, count), Fraction(rng.randint(1, 9), 10)
+            scaled = scale_instance(weights, m, eps)
+            delta = eps * weights[m - 1] / (3 * count)
+            for w, s in zip(weights, scaled):
+                assert w - delta <= delta * s <= w
             for i, j in product(range(count), repeat=2):
                 if weights[i] < weights[j]:
-                    assert ctx.scaled[i] <= ctx.scaled[j]
+                    assert scaled[i] <= scaled[j]
 
     def test_integer_floor_matches_fraction_reference(self):
         def reference(weights, m, eps):
@@ -77,7 +77,7 @@ class TestScaleInstance:
         zeros = 0
         for weights, eps in cases:
             for m in range(1, len(weights) + 1):
-                scaled = scale_instance(weights, m, eps).scaled
+                scaled = scale_instance(weights, m, eps)
                 assert scaled == reference(weights, m, eps), (weights, m, eps)
                 zeros += scaled.count(0)
         assert zeros > 0
@@ -151,10 +151,15 @@ class TestDriver:
             assert a == b
 
     def test_counter_accumulates(self):
+        # dp_cell_ops is the exact solver's count over all pivots, one memo
+        # per pivot value
         inst = TwoSetInstance.from_pairs([(5, 4), (3, 6)])
-        counter = OpCounter()
-        res = fptas_solve(inst, Fraction(1, 2), counter=counter)
-        assert res.dp_cell_ops == counter.cells > 0
+        eps = Fraction(1, 2)
+        counter, memos = OpCounter(), {}
+        for m in range(1, 2 * inst.n + 1):
+            memo = memos.setdefault(inst.weights[m - 1], {})
+            exact_solver(scale_instance(inst.weights, m, eps), m, counter, memo=memo)
+        assert fptas_solve(inst, eps).dp_cell_ops == counter.cells > 0
 
 
 class TestSideCache:
@@ -182,7 +187,7 @@ class TestSideCache:
         """Reference driver: every pivot solved afresh, with no memo."""
         best, best_value, pivot_used = SolutionPair.empty(), math.inf, None
         for m in range(1, 2 * inst.n + 1):
-            s1, s2 = exact_solver(scale_instance(inst.weights, m, eps).scaled, m)
+            s1, s2 = exact_solver(scale_instance(inst.weights, m, eps), m)
             if s1 and s2:
                 pair = SolutionPair.from_sets(inst.weights, s1, s2)
                 if pair.value() < best_value:
@@ -220,7 +225,7 @@ class TestSideCache:
             # gets a table when the other side holds a weight at least as large
             expected = set()
             for m in range(1, 2 * inst.n + 1):
-                scaled = scale_instance(inst.weights, m, eps).scaled
+                scaled = scale_instance(inst.weights, m, eps)
                 v = scaled[m - 1]
                 for near in (0, inst.n):
                     far = inst.n - near
@@ -243,7 +248,7 @@ class TestSideCache:
             for eps in (Fraction(1, 10), Fraction(1, 2)):
                 memos: dict[Fraction, dict] = {}
                 for m in range(1, 2 * inst.n + 1):
-                    scaled = scale_instance(inst.weights, m, eps).scaled
+                    scaled = scale_instance(inst.weights, m, eps)
                     memo = memos.setdefault(inst.weights[m - 1], {})
                     exact_solver(scaled, m, memo=memo)
                     assert len(memo) == 2
@@ -263,16 +268,35 @@ class TestScalingChecks:
             count = len(weights)
             for eps in (Fraction(3, 10), Fraction(9, 10)):
                 for m in range(1, count + 1):
-                    ctx = scale_instance(weights, m, eps)
-                    s1, s2 = exact_solver(ctx.scaled, m)
+                    scaled = scale_instance(weights, m, eps)
+                    s1, s2 = exact_solver(scaled, m)
                     if not s1:
                         continue
                     checked += 1
-                    if check_pivot_inequalities(weights, eps, ctx, s1, s2):
+                    if check_pivot_inequalities(weights, eps, m, scaled, s1, s2):
                         hypothesis_held += 1
         assert checked > 0
         # the epsilon/3 regime should be the common case, not a rarity
         assert hypothesis_held >= checked * 9 // 10
+
+    def test_pivot_inequalities_reject_a_wrong_step(self):
+        # a vector floored with step 2 * delta, solved as if it were the
+        # pivot's scaled weights, fails the checker's own delta
+        rng = random.Random(53)
+        rejected = 0
+        for _ in range(10):
+            weights = TwoSetInstance.from_pairs(random_pairs(rng, rng.randint(2, 5), 30)).weights
+            count, eps = len(weights), Fraction(1, 4)
+            for m in range(1, count + 1):
+                step = 2 * eps * weights[m - 1] / (3 * count)
+                doubled = tuple(math.floor(w / step) for w in weights)
+                s1, s2 = exact_solver(doubled, m)
+                if not s1:
+                    continue
+                with pytest.raises(AssertionError, match="floor sandwich"):
+                    check_pivot_inequalities(weights, eps, m, doubled, s1, s2)
+                rejected += 1
+        assert rejected > 0
 
     def test_optimum_scaling_bound(self):
         rng = random.Random(41)
@@ -303,11 +327,11 @@ class TestScalingChecks:
                 if inst.weight(i) == min(max1, max2)
             )
             for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
-                ctx = scale_instance(inst.weights, pivot, eps)
-                s1, s2 = exact_solver(ctx.scaled, pivot)
+                scaled = scale_instance(inst.weights, pivot, eps)
+                s1, s2 = exact_solver(scaled, pivot)
                 assert s1 and s2, "covering pivot must stay feasible after scaling"
-                got = scaled_pair_value(ctx, s1, s2)
-                ceiling = scaled_pair_value(ctx, opt.best.s1, opt.best.s2)
+                got = scaled_pair_value(scaled, s1, s2)
+                ceiling = scaled_pair_value(scaled, opt.best.s1, opt.best.s2)
                 assert got <= ceiling
 
 
@@ -328,7 +352,7 @@ class TestConvenienceFrontends:
         assert {dec.s1, dec.s2} == {frozenset({3}), frozenset({1, 2})}
 
         res, dec = solve_source(encode_ssr_weights([1]), "ssr", Fraction(1, 2))
-        assert res.status == "infeasible" and dec.is_empty
+        assert res.status == "infeasible" and not dec.s1
 
     def test_ssr_accepts_rational_weights(self):
         res = fptas_solve(encode_ssr_weights(["1/2", "1/4", "3/4"]), Fraction(1, 10))
@@ -366,7 +390,7 @@ class TestClosedFormOptima:
         optimum = Fraction(top, top - 1)
         res, dec = solve_source(encode_ssr_weights([2**k for k in range(n)]), "ssr", eps)
         assert optimum <= res.value <= (1 + eps) * optimum
-        assert not dec.is_empty
+        assert dec.s1
 
     def test_all_equal_weights(self):
         res = fptas_solve(encode_ssr_weights([7] * 30), Fraction(1, 4))

@@ -128,10 +128,10 @@ class TestStructuralProperties:
             anchor = min(range(1, 2 * instance.n + 1), key=instance.weight)
             n = instance.n
             for eps in (Fraction(1, 3), Fraction(4, 5)):
-                ctx = scale_instance(instance.weights, anchor, eps)
-                assert all(v >= 1 for v in ctx.scaled)
-                mapped = TwoSetInstance.from_pairs(zip(ctx.scaled[:n], ctx.scaled[n:]))
-                mapped_sol = SolutionPair.from_sets(ctx.scaled, best.s1, best.s2)
+                scaled = scale_instance(instance.weights, anchor, eps)
+                assert all(v >= 1 for v in scaled)
+                mapped = TwoSetInstance.from_pairs(zip(scaled[:n], scaled[n:]))
+                mapped_sol = SolutionPair.from_sets(scaled, best.s1, best.s2)
                 assert check_feasible_semi_restricted(mapped_sol, mapped, pivot)
 
     def test_by_value_matches_per_pivot(self):

@@ -76,7 +76,7 @@ class TestDecode:
 
     def test_empty_passes_through(self):
         dec = decode(SolutionPair.empty(), "factor-r", 3)
-        assert dec.is_empty
+        assert not dec.s1 and not dec.s2
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

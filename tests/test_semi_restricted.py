@@ -25,7 +25,6 @@ from ssratio.semi_restricted import (
     _CARRY,
     _LIVE_SETS,
     _heavy_singleton,
-    _keys_fit_int32,
     _row_plan,
     _side_view,
 )
@@ -138,7 +137,7 @@ class TestSolve:
 
     def test_oversized_table_refused_before_allocation(self, monkeypatch):
         # pivot 1 of [[1,5],[5,5],[5,5]] at epsilon 1e-7 scales to cap 1.8e8
-        ctx = scale_instance(flat([(1, 5), (5, 5), (5, 5)]), 1, Fraction(1, 10**7))
+        scaled = scale_instance(flat([(1, 5), (5, 5), (5, 5)]), 1, Fraction(1, 10**7))
         real_full = np.full
 
         def refuse_large(shape, *args, **kwargs):
@@ -147,7 +146,7 @@ class TestSolve:
 
         monkeypatch.setattr(np, "full", refuse_large)
         with pytest.raises(ValueError, match="bytes, over the"):
-            exact_solver(ctx.scaled, 1)
+            exact_solver(scaled, 1)
 
     def test_zero_weights_are_tolerated_but_never_used(self):
         s1, s2 = exact_solver([3, 0, 0, 3], 1)
@@ -277,9 +276,8 @@ class TestDifferenceTable:
                 diff = col - table.offset
                 for hp in (False, True):
                     for hh in (False, True):
-                        cell = table.cell(n, diff, hp, hh)
-                        if cell.occupied:
-                            got[(diff, hp, hh)] = cell.total
+                        if table.occupied(n, diff, hp, hh):
+                            got[(diff, hp, hh)] = table.total(diff)
             assert got == want, (weights, n, near, v)
 
     def test_inner_rows_match_reference(self, dp_battery):
@@ -307,23 +305,28 @@ class TestDifferenceTable:
                 for hp in (False, True):
                     for hh in (False, True):
                         if table.occupied(n, diff, hp, hh):
-                            s1, s2 = table.reconstruct(diff, hp, hh)
+                            assert (hp, hh) == (True, True)
+                            s1, s2 = table.reconstruct(diff)
                             assert -2 * table.cap <= diff <= table.cap
 
     def test_final_row_cells(self):
         table = DifferenceTable((5, 3, 4, 6), 2, 0, 5)
-        final = table.cell(2, -1, True, True)
-        assert final.occupied and final.total == 11
+        assert table.total(-1) == 11
         assert table.reconstruct(-1) == (frozenset({1}), frozenset({4}))
-        assert not table.cell(2, 2, True, True).occupied
-        assert table.occupied(1, 5, True, False)
+        assert table.total(2) is None
         with pytest.raises(ValueError):
-            table.cell(1, 5, True, False)  # inner rows keep no totals
+            table.reconstruct(2)
+        assert table.occupied(1, 5, True, False)
 
     def test_window_bounds_raise_outside(self):
         table = DifferenceTable((5, 3, 4, 6), 2, 0, 5)
-        with pytest.raises(ValueError):
-            table.occupied(2, table.cap + 1, True, True)
+        for diff in (table.cap + 1, -2 * table.cap - 1):
+            with pytest.raises(ValueError):
+                table.occupied(2, diff, True, True)
+            with pytest.raises(ValueError):
+                table.total(diff)
+            with pytest.raises(ValueError):
+                table.reconstruct(diff)
 
     def test_operation_count_bound(self, dp_battery):
         # instrumented work stays within a fixed multiple of n^2 * pivot weight
@@ -573,8 +576,6 @@ class TestPackedKernel:
         assert 2 * 4 * 4 * (3 * cap + 1) <= MAX_TABLE_BYTES
         assert 8 * (7 * cap + 1) + 6 < 2**31  # largest occupied key
         assert -(2**31) + 8 * (cap + 4 * cap + 1) + 6 < 0  # an empty chain stays empty
-        assert _keys_fit_int32(cap)
-        assert not _keys_fit_int32((2**31 - 14) // 56 + 1)
 
     def test_predicted_bytes_match_allocations(self, monkeypatch):
         allocated = []
