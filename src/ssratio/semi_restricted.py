@@ -24,20 +24,24 @@ Each per-side search splits into two regimes:
 
 Table writes follow the larger-total-sum rule: a cell is overwritten only
 when unoccupied or strictly beaten on total sum, so filled cells dominate
-every pair ever offered to them.  The fill realises the rule with packed
-int32 keys, total * 8 + priority, and one numpy maximum per extension
-phase over the live flag layers.  The carry gets priority 6, a far
-extension 5 and a near extension 3, one less from a source already
-holding the row's bit: a target layer's sequential order, carry, far,
-near, each by ascending source, so the maximum keeps the first candidate
-with the largest total, ties included.  An empty cell holds -2**31; each
-row stores its 3-bit priorities (7: empty) as uint8 and a fixed per-row
-plan maps them back to decision codes.  Each row touches only its live
-band of differences and its live flag layers: those some earlier row
-could set that later rows can still complete to both flags, the only
-layer the answer is read from.  It stores codes for that band alone, as
-a column slice of one code buffer per table; ``dp_cell_ops`` counts the
-cells touched.
+every pair ever offered to them.  A cell's total is the maximum over the
+candidates offered to it, whichever of them the rule keeps, so the fill
+works on plain sums and never records a decision.  At a fixed difference
+d the total is 2 * (near sum) - d, so a cell stores its near sum, at
+most cap: int16 while cap < 2**15, else int32, with the dtype's minimum
+for an empty cell (sums built on it stay negative).  Per row the carry
+is one copy; a far extension, which leaves the near sum as it is, one
+numpy maximum; a near extension one add and one maximum, all over the
+live flag layers.  Which candidate the rule keeps, the first with the
+largest total in the sequential order (carry, far extensions, near
+extensions, each by ascending source layer), is settled when
+backtracking: at each row the walk takes the first candidate in that
+order whose predecessor sum plus its near weight equals the cell's.
+Each row touches only its live band of differences and its live flag
+layers: those some earlier row could set that later rows can still
+complete to both flags, the only layer the answer is read from.  It
+stores its sums for those layers and that band alone, as its own slice
+of one store per table; ``dp_cell_ops`` counts the cells touched.
 Total work is O(n^2 * pivot_weight) cell operations.
 
 When both sides carry the same weights (the ssr encoding, factor-r with
@@ -51,8 +55,8 @@ returns the better pair as two index frozensets.  Wrap them with
 ``SolutionPair.from_sets(weights, s1, s2)`` for sums and the objective.
 A ``DifferenceTable`` can also be built and read on its own:
 ``occupied`` for any kept cell, and ``total``, ``best_cell`` and
-``reconstruct`` for the final row's both-flags layer, the only one whose
-totals it keeps.
+``reconstruct`` for the final row's both-flags layer, the only layer the
+final row keeps.
 """
 
 from __future__ import annotations
@@ -70,17 +74,16 @@ __all__ = [
     "exact_solver",
 ]
 
-# Largest DifferenceTable, in bytes of row buffers, scratch and decision codes.
-# Its two (4, 3 * cap + 1) int32 row buffers alone bound the cap, and at that
-# cap every key stays inside int32 (keys are total * 8 + priority, see
-# DifferenceTable): an occupied key is below 8 * (7 * cap + 1) + 6, and an
-# empty cell, which starts at -2**31 and gains at most 8 * (its element's
-# weight) per row, stays below -2**31 + 8 * (5 * cap + 1) + 6 along any chain
-# of rows (near weights add up to at most cap, and far weights, whose shifts
-# keep the column inside the window, to at most 4 * cap + 1).
+# Largest DifferenceTable, in bytes of its sum store and scratch.  A table
+# with cap >= 2**15 stores int32 sums, and its (4, final band) scratch alone
+# bounds the cap: the final band spans at least [2 * cap, 3 * cap], so
+# 16 * (cap + 1) bytes.  At that cap every sum stays inside int32: a stored
+# near sum is at most cap, and an empty cell, which starts at -2**31 and
+# gains near weights that add up to at most cap along any chain of rows,
+# stays negative.
 MAX_TABLE_BYTES = 2 << 30
-_MAX_CAP = (MAX_TABLE_BYTES // 32 - 1) // 3
-assert 8 * (7 * _MAX_CAP + 1) + 6 < 2**31 and -(2**31) + 8 * (5 * _MAX_CAP + 1) + 6 < 0
+_MAX_CAP = MAX_TABLE_BYTES // 16 - 1
+assert -(2**31) + _MAX_CAP < 0
 
 # ---------------------------------------------------------------------------
 # value-based per-side view
@@ -153,99 +156,84 @@ def _heavy_singleton(
 # ---------------------------------------------------------------------------
 
 
-# Keys are total * 8 + priority (see DifferenceTable).  An empty cell holds
-# _EMPTY, and sums built on it stay negative (see MAX_TABLE_BYTES).
-_EMPTY = np.iinfo(np.int32).min
-_CARRY = 6          # priority of the carry, the first candidate of every layer
-_NO_CELL = 7        # stored priority of an empty cell
+def _sum_dtype(cap: int) -> type:
+    """Store dtype of a table: it holds near sums up to cap, and an empty
+    cell, the dtype's minimum, stays negative after gaining near weights
+    that add up to at most cap."""
+    return np.int16 if cap < 2**15 else np.int32
+
 
 # Flag layers a row keeps: reachable by some pair and still completable to
-# the answer layer 3 (see _row_plan).  Each set is one basic slice; the
-# fill starts from the first.
+# the answer layer 3 (see _row_plan).  A row stores them in this order.
 _LIVE_SETS = (
     (0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3),
     (1,), (2,), (3,), (1, 3), (2, 3), (),
 )
 
 
-def _as_slice(layers: Sequence[int]) -> slice:
-    if not layers:
+def _as_slice(positions: Sequence[int]) -> slice:
+    if not positions:
         return slice(0, 0)
-    step = layers[1] - layers[0] if len(layers) > 1 else 1
-    assert list(layers) == list(range(layers[0], layers[-1] + 1, step))
-    return slice(layers[0], layers[-1] + 1, step)
-
-
-_LIVE_SLICES = tuple(_as_slice(live) for live in _LIVE_SETS)
+    step = positions[1] - positions[0] if len(positions) > 1 else 1
+    assert list(positions) == list(range(positions[0], positions[-1] + 1, step))
+    return slice(positions[0], positions[-1] + 1, step)
 
 
 @dataclass(frozen=True)
 class _RowPlan:
-    """The numpy work of one row, fixed by its live set, flag bits and the
-    flag bits later rows can still set.
+    """The numpy work of one row, fixed by the live set before it, the
+    flag bits its far and near passes set (None: the pass does not run)
+    and the flag bits later rows can still set.
 
     A layer is alive after the row while later rows can still complete it
-    to layer 3; only alive layers are written.  `carry` holds the live
-    layers that stay alive (`carried` of them).  `far` and `near` hold one
-    (source layers, target layers, layer count, priority) pass for the live
-    sources without the row's bit and one for those with it, each keeping
-    only sources whose target is alive.  Priorities: carry 6, far extension
-    5, near extension 3, one less from a source holding the bit.  Two
-    sources of one kind share a target only when the higher one alone
-    holds the bit, so this is the sequential order: carry, far, near, each
-    by ascending source.  `lut[layer][priority]` is the decision code of
-    that candidate (255: none).  `after[far ran][near ran]` indexes the
-    next row's live set.
+    to layer 3; `after` indexes the alive layers the row can reach, the
+    live set it stores.  Slices index a row's stored layers: `carry` maps
+    the live layers that stay alive (`carried` of them) from the previous
+    row's positions to this row's.  `far` and `near` hold one (source
+    positions, target positions, layer count) pass for the live sources
+    without the row's bit and one for those with it, each keeping only
+    sources whose target is alive; two sources of one pass never share a
+    target.
     """
 
-    carry: slice
+    far_bit: int | None
+    near_bit: int | None
+    carry: tuple[slice, slice]
     carried: int
-    far: tuple[tuple[slice, slice, int, int], ...]
-    near: tuple[tuple[slice, slice, int, int], ...]
-    lut: tuple[tuple[int, ...], ...]
-    after: tuple[tuple[int, int], tuple[int, int]]
+    far: tuple[tuple[slice, slice, int], ...]
+    near: tuple[tuple[slice, slice, int], ...]
+    after: int
 
 
 @functools.cache
-def _row_plan(live: int, far_bit: int, near_bit: int, later: int) -> _RowPlan:
-    """Plan of a row whose live set is _LIVE_SETS[live] and after which
-    rows can still set the flag bits in `later`."""
+def _row_plan(live: int, far_bit: int | None, near_bit: int | None, later: int) -> _RowPlan:
+    """Plan of a row whose previous row keeps _LIVE_SETS[live] and after
+    which rows can still set the flag bits in `later`."""
     sources = _LIVE_SETS[live]
     alive = {s for s in range(4) if s | later == 3}
-    # decision codes: carry = layer, take_near = 4 + source, take_far = 8 + source
-    lut = tuple(
-        (255, 255, 4 + t, 4 + (t & ~near_bit), 8 + t, 8 + (t & ~far_bit), t, 255) for t in range(4)
-    )
+    grown = set(sources)
+    for bit in (far_bit, near_bit):
+        if bit is not None:
+            grown |= {s | bit for s in sources}
+    after = _LIVE_SETS.index(tuple(sorted(grown & alive)))
+    kept = _LIVE_SETS[after]
 
-    def passes(bit: int, prio: int) -> tuple[tuple[slice, slice, int, int], ...]:
+    def moves(srcs: list[int], tgts: list[int]) -> tuple[slice, slice]:
+        return (_as_slice([sources.index(s) for s in srcs]),
+                _as_slice([kept.index(t) for t in tgts]))
+
+    def passes(bit: int | None) -> tuple[tuple[slice, slice, int], ...]:
+        if bit is None:
+            return ()
         useful = [s for s in sources if s | bit in alive]
         groups = ([s for s in useful if not s & bit], [s for s in useful if s & bit])
-        return tuple(
-            (_as_slice(srcs), _as_slice([s | bit for s in srcs]), len(srcs), prio - held)
-            for held, srcs in enumerate(groups)
-            if srcs
-        )
-
-    def after(far_ran: bool, near_ran: bool) -> int:
-        grown = set(sources)
-        grown |= {s | far_bit for s in sources if far_ran}
-        grown |= {s | near_bit for s in sources if near_ran}
-        return _LIVE_SETS.index(tuple(sorted(grown & alive)))
+        return tuple((*moves(srcs, [s | bit for s in srcs]), len(srcs)) for srcs in groups if srcs)
 
     carried = [s for s in sources if s in alive]
     return _RowPlan(
-        _as_slice(carried),
-        len(carried),
-        passes(far_bit, 5),
-        passes(near_bit, 3),
-        lut,
-        tuple((after(f, False), after(f, True)) for f in (False, True)),
+        far_bit, near_bit, moves(carried, carried), len(carried),
+        passes(far_bit), passes(near_bit), after,
     )
-
-
-def _code_columns(bands: list[tuple[int, int]]) -> int:
-    """Columns of the table's code buffer: the bands of rows 1..n side by side."""
-    return sum(hi - lo + 1 for lo, hi in bands[1:])
 
 
 class DifferenceTable:
@@ -258,30 +246,35 @@ class DifferenceTable:
     to both flags are kept: a layer without the pivot-value flag dies
     after the last row with a pivot-valued near weight, one without the
     heavy flag after the last row with a heavy far weight, and the final
-    row holds the both-flags layer alone.  A kept cell stores the largest
-    total sum among all pairs with that coordinate, plus the decision that
-    produced it, so it can be reconstructed by backtracking.  Row 0 holds
-    the empty pair at difference 0 with both flags clear, kept if some row
-    can set each flag.  Totals are kept for the final row only.
+    row holds the both-flags layer alone.  A kept cell holds the largest
+    total sum among all pairs with that coordinate, stored as the near sum
+    of such a pair (total = 2 * near sum - difference).  Row 0 holds the
+    empty pair at difference 0 with both flags clear, kept if some row can
+    set each flag.
 
     Row i can only occupy its live band of columns,
     [offset - min(2*cap, far prefix sum), offset + candidate near prefix
     sum], and only the flag layers some earlier row could set and some
-    later rows can complete.  The fill touches nothing else.  It works on
-    int32 keys, total * 8 + priority, with _EMPTY for an empty cell, in
-    two (4, width) row buffers that it swaps and a (4, final band) scratch
-    buffer: per row one add for the carry and, per extension phase, one
-    add into the scratch and one maximum over the live layers (a second
-    pair where two source layers share a target).  Priorities follow the
-    rule in _RowPlan, so the maximum keeps the sequential order's first
-    candidate with the largest total.  At row end the 3-bit priorities of the band (7:
-    empty) are stored as uint8 with the band's first column, and cleared
-    from the keys; the row's plan maps a priority back to its decision
-    code.  The codes of all rows share one (4, summed band widths) buffer,
-    allocated once per table; each row stores into its own column slice.
-    The counter gets the cells actually touched.  The memory a table needs
-    is predicted from the bands before anything is allocated, and a table
-    over MAX_TABLE_BYTES is refused.
+    later rows can complete.  The fill touches nothing else.  It works in
+    one store of sums (see _sum_dtype) allocated once per table: each row
+    is a (live layers, band) block of it, written in place, and a
+    (4, final band) scratch takes the near-shifted sources.  Per row it
+    does one copy for the carry, one maximum into the row's block per far
+    pass, and one add into the scratch and one maximum per near pass; a
+    phase needs a second pass where two source layers share a target.
+
+    Backtracking replays the sequential larger-total rule instead of
+    storing decisions.  At row r, layer t, column c with near sum S it
+    takes the first candidate whose predecessor sum plus its near weight
+    (0 for the carry and a far extension) equals S: the carry from layer
+    t of row r-1, if row r-1 kept t; then, if row r's far pass ran, the
+    far extensions from the sources s of row r-1 with
+    s | (row r's far bit) == t by ascending s; then, if its near pass ran,
+    the near extensions likewise with row r's near bit.  The counter gets
+    the cells actually touched.  The memory a table needs is predicted
+    from the bands and live sets before anything is allocated, and a
+    table over MAX_TABLE_BYTES is refused; the scratch alone bounds an
+    admitted table's cap at 134,217,727.
     """
 
     def __init__(
@@ -304,34 +297,19 @@ class DifferenceTable:
         self.cap = view.cap
         self.offset = 2 * self.cap
         self.width = 3 * self.cap + 1
-        bands = self._bands()
-        need = self._predicted_bytes(bands)
+        rows = self._bands()
+        need = self._predicted_bytes(rows)
         if need > MAX_TABLE_BYTES:
             raise ValueError(
                 f"difference table needs {need} bytes, over the {MAX_TABLE_BYTES}-byte limit"
             )
-        self._steps: list[tuple[int, np.ndarray, tuple[tuple[int, ...], ...]]] = []
-        self._fill(bands, counter)
+        self._rows = rows
+        self._fill(counter)
 
-    def _bands(self) -> list[tuple[int, int]]:
-        """First and last live column of rows 0..n; each contains the last."""
-        w, near, far = self.weights, self.near, self.far
-        cand_set = self.view.cand_set
-        lo = hi = self.offset
-        bands = [(lo, hi)]
-        for i in range(1, self.n + 1):
-            lo = max(0, lo - w[i + far - 1])
-            if i in cand_set:
-                hi += w[i + near - 1]
-            bands.append((lo, hi))
-        return bands
-
-    def _predicted_bytes(self, bands: list[tuple[int, int]]) -> int:
-        """Bytes of the two row buffers, the scratch and the band codes."""
-        lo, hi = bands[-1]  # the widest band
-        return 2 * 4 * self.width * 4 + 4 * (hi - lo + 1) * 4 + 4 * _code_columns(bands)
-
-    def _fill(self, bands: list[tuple[int, int]], counter: OpCounter | None) -> None:
+    def _bands(self) -> list[tuple[int, int, int, _RowPlan | None]]:
+        """Rows 0..n: first and last live column, each band containing the
+        last; the index in _LIVE_SETS of the layers the row keeps; and the
+        row's plan (None for row 0)."""
         w, n, near, far, v = self.weights, self.n, self.near, self.far, self.pivot_weight
         view = self.view
         # later[i]: the flag bits rows after row i can still set; a layer s
@@ -339,75 +317,75 @@ class DifferenceTable:
         later = [0] * (n + 1)
         for i in range(n, 0, -1):
             later[i - 1] = later[i] | 2 * (i in view.exact_bases) | (i in view.heavy_bases)
-        ops = 0
-        x = np.full((4, self.width), _EMPTY, dtype=np.int32)
-        y = np.full((4, self.width), _EMPTY, dtype=np.int32)
-        z = np.empty((4, bands[n][1] - bands[n][0] + 1), dtype=np.int32)
-        codes = np.full((4, _code_columns(bands)), _NO_CELL, dtype=np.uint8)
-        start = 0
-        x[0, self.offset] = 0  # empty pair: difference 0, no flags
-        live = 0  # index into _LIVE_SETS
+        lo = hi = self.offset
+        live = 0 if later[0] == 3 else _LIVE_SETS.index(())
+        rows = [(lo, hi, live, None)]
         for i in range(1, n + 1):
             near_w = w[i + near - 1]
             far_w = w[i + far - 1]
-            lo0, hi0 = bands[i - 1]
-            lo, hi = bands[i]
-            plan = _row_plan(live, int(far_w >= v), 2 * (near_w == v), later[i])
-            # y holds row i-2.  A layer alive after row i is either carried
-            # over row i-1's band, which contains every earlier band, or was
-            # never reached and is still _EMPTY; layers that died keep stale
-            # keys that no row reads
-            if plan.carried:
-                layers = plan.carry
-                np.add(x[layers, lo0:hi0 + 1], _CARRY, out=y[layers, lo0:hi0 + 1])
-                ops += plan.carried * (hi0 - lo0 + 1)
+            lo0, hi0 = lo, hi
+            lo = max(0, lo0 - far_w)
+            near_on = near_w > 0 and i in view.cand_set
+            if near_on:
+                hi += near_w
             # far-set extension: difference shifts down by far_w; writes below
             # -2*cap fall off the window (they cannot belong to an optimal
             # pair of this regime)
-            span = hi0 - far_w - lo + 1
-            far_on = far_w > 0 and span > 0
-            if far_on:
-                for src, tgt, k, prio in plan.far:
-                    buf = z[:k, :span]
-                    np.add(x[src, lo + far_w:hi0 + 1], prio + 8 * far_w, out=buf)
-                    dest = y[tgt, lo:lo + span]
-                    np.maximum(dest, buf, out=dest)
+            far_on = far_w > 0 and hi0 - far_w - lo + 1 > 0
+            plan = _row_plan(
+                live,
+                int(far_w >= v) if far_on else None,
+                2 * (near_w == v) if near_on else None,
+                later[i],
+            )
+            live = plan.after
+            rows.append((lo, hi, live, plan))
+        return rows
+
+    def _predicted_bytes(self, rows: list[tuple[int, int, int, _RowPlan | None]]) -> int:
+        """Bytes of the store and the scratch."""
+        lo, hi = rows[-1][:2]  # the widest band
+        cells = sum(len(_LIVE_SETS[live]) * (b - a + 1) for a, b, live, _ in rows)
+        return np.dtype(_sum_dtype(self.cap)).itemsize * (cells + 4 * (hi - lo + 1))
+
+    def _fill(self, counter: OpCounter | None) -> None:
+        w, near, far, rows = self.weights, self.near, self.far, self._rows
+        sizes = [len(_LIVE_SETS[live]) * (hi - lo + 1) for lo, hi, live, _ in rows]
+        dtype = _sum_dtype(self.cap)
+        store = np.full(sum(sizes), np.iinfo(dtype).min, dtype=dtype)
+        z = np.empty((4, rows[-1][1] - rows[-1][0] + 1), dtype=dtype)
+        blocks = []
+        start = 0
+        for (lo, hi, _, _), size in zip(rows, sizes):
+            blocks.append(store[start:start + size].reshape(-1, hi - lo + 1))
+            start += size
+        blocks[0][:, 0] = 0  # the empty pair, if kept
+        ops = 0
+        for i in range(1, self.n + 1):
+            lo0, hi0 = rows[i - 1][:2]
+            lo, hi, _, plan = rows[i]
+            x, y = blocks[i - 1], blocks[i]
+            if plan.carried:
+                src, tgt = plan.carry
+                y[tgt, lo0 - lo:hi0 - lo + 1] = x[src]
+                ops += plan.carried * (hi0 - lo0 + 1)
+            if plan.far:
+                far_w = w[i + far - 1]
+                span = hi0 - far_w - lo + 1
+                for src, tgt, k in plan.far:
+                    dest = y[tgt, :span]
+                    np.maximum(dest, x[src, lo + far_w - lo0:], out=dest)
                     ops += k * span
-            # near-set extension: only candidate bases; difference shifts up
-            near_on = near_w > 0 and i in view.cand_set
-            if near_on:
-                for src, tgt, k, prio in plan.near:
+            if plan.near:
+                near_w = w[i + near - 1]
+                for src, tgt, k in plan.near:
                     buf = z[:k, :hi0 - lo0 + 1]
-                    np.add(x[src, lo0:hi0 + 1], prio + 8 * near_w, out=buf)
-                    dest = y[tgt, lo0 + near_w:hi + 1]
+                    np.add(x[src], near_w, out=buf)
+                    dest = y[tgt, lo0 + near_w - lo:]
                     np.maximum(dest, buf, out=dest)
                     ops += k * (hi0 - lo0 + 1)
-            live = plan.after[far_on][near_on]
-            code = codes[:, start:start + hi - lo + 1]
-            start += hi - lo + 1
-            count = len(_LIVE_SETS[live])
-            if count:
-                # store the band's priorities, 7 for a negative (empty) key,
-                # then clear them from the keys
-                layers = _LIVE_SLICES[live]
-                keys = y[layers, lo:hi + 1]
-                low = z[:count, :hi - lo + 1]
-                # (np.maximum with a scalar -1 does the same, but numpy 2 runs
-                # a scalar maximum far slower than these two)
-                np.right_shift(keys, 31, out=low)
-                np.bitwise_or(low, keys, out=low)  # negative keys become -1
-                stored = code[layers]
-                np.copyto(stored, low, casting="unsafe")  # the low byte
-                np.bitwise_and(stored, 7, out=stored)
-                np.bitwise_and(keys, -8, out=keys)
-            self._steps.append((lo, code, plan.lut))
-            x, y = y, x
-        lo, hi = bands[n]
-        # the final row keeps layer 3 alone (later[n] == 0)
-        final = x[3]
-        np.right_shift(final[lo:hi + 1], 3, out=final[lo:hi + 1])  # keys to totals
-        self.final = final
-        self._final_band = (lo, hi)
+        self._blocks = blocks
+        lo, hi = rows[-1][:2]
         ops += hi - lo + 1  # final scan
         if counter is not None:
             counter.add(ops)
@@ -420,11 +398,14 @@ class DifferenceTable:
             raise ValueError(f"difference {diff} outside window [-{2 * self.cap}, {self.cap}]")
         return col
 
-    def _code(self, row: int, layer: int, col: int) -> int:
-        """Decision code of a cell in rows 1..n; 255 (empty) outside its band."""
-        start, code, lut = self._steps[row - 1]
-        k = col - start
-        return lut[layer][code[layer, k]] if 0 <= k < code.shape[1] else 255
+    def _cell(self, row: int, layer: int, col: int) -> int:
+        """Stored near sum of a cell; -1 when the row does not keep it or it
+        is empty."""
+        lo, hi, live, _ = self._rows[row]
+        layers = _LIVE_SETS[live]
+        if layer not in layers or not lo <= col <= hi:
+            return -1
+        return max(int(self._blocks[row][layers.index(layer), col - lo]), -1)
 
     def occupied(self, row: int, diff: int, has_pivot_value: bool, has_heavy: bool) -> bool:
         """Whether the table keeps a pair at this cell.
@@ -433,52 +414,58 @@ class DifferenceTable:
         unoccupied even when some pair reaches it; in the final row only
         the both-flags layer can be occupied.
         """
-        layer = 2 * has_pivot_value | has_heavy
         col = self._column(diff)
-        if row == 0:
-            completable = bool(self.view.exact_bases and self.view.heavy_bases)
-            return layer == 0 and diff == 0 and completable
-        if not 1 <= row <= self.n:
+        if not 0 <= row <= self.n:
             raise ValueError(f"row {row} out of range 0..{self.n}")
-        return self._code(row, layer, col) != 255
+        return self._cell(row, 2 * has_pivot_value | has_heavy, col) >= 0
 
     def total(self, diff: int) -> int | None:
         """Stored total of the final row's both-flags cell, the only layer
         the final row keeps; None when that cell is unoccupied."""
-        if not self.occupied(self.n, diff, True, True):
-            return None
-        return int(self.final[self._column(diff)])
+        near_sum = self._cell(self.n, 3, self._column(diff))
+        return None if near_sum < 0 else 2 * near_sum - diff
 
     # -- reconstruction -----------------------------------------------------
 
     def reconstruct(self, diff: int) -> tuple[frozenset[int], frozenset[int]]:
-        """Walk decisions back from the final row's both-flags cell at `diff`
-        and rebuild the stored pair.
+        """Walk back from the final row's both-flags cell at `diff`, taking
+        at each row the candidate the sequential rule kept, and rebuild
+        the stored pair.
 
         Verifies index discipline on the way out: the near set only holds
         near-side candidate elements, the far set only far-side elements,
         no base occurs on both sides, the sums reproduce the cell's
         difference and total, and both flags hold for the rebuilt sets.
         """
-        if self.total(diff) is None:
+        r, t, c = self.n, 3, self._column(diff)
+        near_sum = self._cell(r, t, c)
+        if near_sum < 0:
             raise ValueError("cannot reconstruct an unoccupied cell")
         s1: set[int] = set()
         s2: set[int] = set()
-        r, l, c = self.n, 3, self._column(diff)
         while r > 0:
-            code = self._code(r, l, c)
-            if code == 255:
-                raise AssertionError("backtracking reached an unoccupied cell")
-            decision, parent = divmod(code, 4)
-            if decision == 1:
+            plan = self._rows[r][3]
+            sources = _LIVE_SETS[self._rows[r - 1][2]]
+            near_w = self.weights[r + self.near - 1]
+            far_w = self.weights[r + self.far - 1]
+            # (side, source layer, source column, near weight) in the fill's order
+            order = [(0, t, c, 0)] if t in sources else []
+            if plan.far_bit is not None:
+                order += [(2, s, c + far_w, 0) for s in sources if s | plan.far_bit == t]
+            if plan.near_bit is not None:
+                order += [(1, s, c - near_w, near_w) for s in sources if s | plan.near_bit == t]
+            for side, s, col, added in order:
+                before = self._cell(r - 1, s, col)
+                if before >= 0 and before + added == near_sum:
+                    break
+            else:
+                raise AssertionError("backtracking found no candidate for a stored sum")
+            if side == 1:
                 s1.add(r + self.near)
-                c -= self.weights[r + self.near - 1]
-            elif decision == 2:
+            elif side == 2:
                 s2.add(r + self.far)
-                c += self.weights[r + self.far - 1]
-            l = parent
-            r -= 1
-        if l != 0 or c != self.offset:
+            r, t, c, near_sum = r - 1, s, col, before
+        if t != 0 or c != self.offset:
             raise AssertionError("backtracking did not end at the empty pair")
         self._check_discipline(s1, s2, diff)
         return frozenset(s1), frozenset(s2)
@@ -502,7 +489,7 @@ class DifferenceTable:
             raise AssertionError("near set holds no pivot-valued element")
         if not any(self.weights[j - 1] >= v for j in s2):
             raise AssertionError("far set holds no heavy element")
-        if sum1 + sum2 != int(self.final[diff + self.offset]):
+        if sum1 + sum2 != self.total(diff):
             raise AssertionError("reconstructed total does not match the stored cell")
 
     # -- final scan ---------------------------------------------------------
@@ -514,13 +501,15 @@ class DifferenceTable:
         The ratio of a cell is (total+|d|)/(total-|d|), the larger sum over
         the smaller, compared exactly.
         """
-        lo, hi = self._final_band
-        totals = self.final[lo:hi + 1]
-        cols = np.nonzero(totals >= 0)[0]
+        lo, _, live, _ = self._rows[self.n]
+        if not _LIVE_SETS[live]:
+            return None
+        sums = self._blocks[self.n][0]  # the final row keeps layer 3 alone
+        cols = np.nonzero(sums >= 0)[0]
         if cols.size == 0:
             return None
         diffs = cols.astype(np.int64) + (lo - self.offset)
-        tot = totals[cols].astype(np.int64)
+        tot = 2 * sums[cols].astype(np.int64) - diffs
         num = tot + np.abs(diffs)
         den = tot - np.abs(diffs)
         assert (den > 0).all()
@@ -529,13 +518,11 @@ class DifferenceTable:
         keep = np.nonzero(approx <= approx.min() * (1.0 + 1e-9))[0]
         best = None
         for k in keep:
-            cand = (int(num[k]), int(den[k]), int(diffs[k]))
+            cand = (int(num[k]), int(den[k]), int(diffs[k]), int(tot[k]))
             if best is None or cand[0] * best[1] < best[0] * cand[1]:
                 best = cand
         assert best is not None
-        diff = best[2]
-        total = int(totals[diff + self.offset - lo])
-        return diff, total
+        return best[2], best[3]
 
 
 # ---------------------------------------------------------------------------

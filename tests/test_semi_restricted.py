@@ -22,7 +22,6 @@ from ssratio import (
 )
 from ssratio.semi_restricted import (
     MAX_TABLE_BYTES,
-    _CARRY,
     _LIVE_SETS,
     _heavy_singleton,
     _row_plan,
@@ -345,9 +344,9 @@ def reference_fill(weights, n, near, pivot_weight, prune=True):
     Writes each candidate in turn (carry, far extensions, near extensions,
     each by ascending source layer) with the sequential strict-> rule.
     With `prune`, a row writes only layers that the rows after it can
-    still complete to both flags.  Returns the decision codes of rows 1..n
-    as an (n, 4, width) array (255: empty), the final totals (-1: empty),
-    the cells touched, and what the fill met: each row's live layers,
+    still complete to both flags.  Returns the decision codes and the
+    totals of rows 1..n as (n, 4, width) arrays (255 and -1: empty), the
+    cells touched, and what the fill met: each row's live layers,
     candidates that tied a stored total, zero weights and far weights that
     fell off the window.
     """
@@ -365,6 +364,7 @@ def reference_fill(weights, n, near, pivot_weight, prune=True):
     width, offset = 3 * cap + 1, 2 * cap
     seen = {"live": set(), "ties": 0, "zeros": 0, "fell_off": 0}
     codes = np.full((n, 4, width), 255, dtype=np.int16)
+    totals = np.full((n, 4, width), -1, dtype=np.int64)
     x = np.full((4, width), -1, dtype=np.int64)
     x[0, offset] = 0
     live = [0]
@@ -377,7 +377,7 @@ def reference_fill(weights, n, near, pivot_weight, prune=True):
         lo0, hi0 = lo, hi
         lo = max(0, lo0 - far_w)
         hi = hi0 + (near_w if i in cand_set else 0)
-        y = np.full((4, width), -1, dtype=np.int64)
+        y = totals[i - 1]
         code = codes[i - 1]
         for layer in live:
             if not completable(layer, i):
@@ -420,15 +420,18 @@ def reference_fill(weights, n, near, pivot_weight, prune=True):
         live = sorted(layer for layer in grown if completable(layer, i))
         x = y
     ops += hi - lo + 1  # final scan
-    return codes, x, ops, seen
+    return codes, totals, ops, seen
 
 
-def decoded_codes(table):
-    """The table's decision codes of rows 1..n as an (n, 4, width) array."""
-    out = np.full((table.n, 4, table.width), 255, dtype=np.int16)
-    for row, (start, code, lut) in enumerate(table._steps):
-        lut = np.asarray(lut, dtype=np.int16)
-        out[row, :, start:start + code.shape[1]] = lut[np.arange(4)[:, None], code]
+def stored_totals(table):
+    """The table's totals of rows 1..n as an (n, 4, width) array (-1: a cell
+    the row does not keep, or an empty one)."""
+    out = np.full((table.n, 4, table.width), -1, dtype=np.int64)
+    for row in range(1, table.n + 1):
+        lo, hi, live, _ = table._rows[row]
+        block = table._blocks[row]
+        totals = 2 * block.astype(np.int64) - (np.arange(lo, hi + 1) - table.offset)
+        out[row - 1, list(_LIVE_SETS[live]), lo:hi + 1] = np.where(block >= 0, totals, -1)
     return out
 
 
@@ -472,6 +475,8 @@ class TestPackedKernel:
         # to (0, 1, 2) and then to (3,)
         yield (4, 1, 3, 4, 2, 1), 3, 0, 4
         yield (4, 4, 1, 4, 4, 1), 3, 0, 4
+        # a cap of 2**15 or more: the table stores int32 sums, not int16
+        yield (20000, 1, 12768, 20000, 3, 40000), 3, 0, 20000
         for _ in range(60):
             n = rng.randint(1, 7)
             kind = rng.randrange(4)
@@ -493,14 +498,14 @@ class TestPackedKernel:
         for weights, n, near, v in self.instances():
             counter = OpCounter()
             table = DifferenceTable(weights, n, near, v, counter)
-            codes, final, ops, seen = reference_fill(weights, n, near, v)
+            codes, totals, ops, seen = reference_fill(weights, n, near, v)
             where = (weights, n, near, v)
             assert counter.cells == ops, where
-            assert (decoded_codes(table) == codes).all(), where
-            lo, hi = table._final_band
-            got = np.where(table.final >= 0, table.final, -1)
-            assert (got[lo:hi + 1] == final[3, lo:hi + 1]).all(), where
-            assert (final[3, :lo] == -1).all() and (final[3, hi + 1:] == -1).all(), where
+            assert (stored_totals(table) == totals).all(), where
+            for col in np.nonzero(totals[-1, 3] >= 0)[0]:
+                diff = int(col) - table.offset
+                expected = reference_backtrack(codes, weights, n, near, table.offset, diff)
+                assert table.reconstruct(diff) == expected, where + (diff,)
             met["live"] |= seen["live"]
             for key in ("ties", "zeros", "fell_off"):
                 met[key] += seen[key]
@@ -517,10 +522,10 @@ class TestPackedKernel:
         for weights, n, near, v in self.instances():
             counter = OpCounter()
             table = DifferenceTable(weights, n, near, v, counter)
-            codes, final, ops, _ = reference_fill(weights, n, near, v, prune=False)
+            codes, totals, ops, _ = reference_fill(weights, n, near, v, prune=False)
             where = (weights, n, near, v)
-            assert (decoded_codes(table)[:, 3] == codes[:, 3]).all(), where
-            want = reference_answer(final[3], table.offset)
+            assert (stored_totals(table)[:, 3] == totals[:, 3]).all(), where
+            want = reference_answer(totals[-1, 3], table.offset)
             assert table.best_cell() == want, where
             if want is not None:
                 expected = reference_backtrack(codes, weights, n, near, table.offset, want[0])
@@ -529,53 +534,63 @@ class TestPackedKernel:
             fewer += counter.cells < ops
         assert fewer > 0
 
+    def test_backtracking_replays_the_tie_rule(self):
+        # near side 0.  In both, rows 1-3 leave a light far set {b1, b2}
+        # in layer 0 and a heavy one {b3} in layer 1 with the same
+        # difference and total.  With pivot weight 2, row 4's heavy b4 = 3
+        # extends both into layer 1 at total 5, and the rule keeps the lower
+        # source, layer 0 (far set {b1, b2, b4}, not {b3, b4}).  With pivot
+        # weight 4, row 4's light b4 = 3 sets no bit: layer 1 at total 7
+        # comes from layer 1 alone, though layer 0 plus b4 gives 7 as well
+        for weights, v in ((9, 9, 9, 1, 2, 1, 1, 2, 3, 9), 2), ((9, 9, 9, 9, 4, 2, 2, 4, 3, 9), 4):
+            n = len(weights) // 2
+            table = DifferenceTable(weights, n, 0, v)
+            codes, totals, _, _ = reference_fill(weights, n, 0, v)
+            occupied = np.nonzero(totals[-1, 3] >= 0)[0]
+            assert occupied.size, weights
+            for col in occupied:
+                diff = int(col) - table.offset
+                expected = reference_backtrack(codes, weights, n, 0, table.offset, diff)
+                assert table.reconstruct(diff) == expected, (weights, diff)
+
     def test_row_plans_follow_sequential_order(self):
-        # every (live set, far bit, near bit, flag bits later rows can set):
-        # only layers the later rows can complete to both flags are written;
-        # per such target layer, the carry, then far and then near
-        # extensions by ascending source, must get strictly decreasing
-        # priorities that the lut maps back to their codes
+        # every (live set, far bit, near bit, flag bits later rows can set),
+        # a bit None when its pass does not run: only layers the later rows
+        # can complete to both flags are written, each pass maps sources to
+        # their targets without two sources sharing one, and the row keeps
+        # the alive layers it can reach
         for (k, live), far_bit, near_bit, later in product(
-            enumerate(_LIVE_SETS), (0, 1), (0, 2), range(4)
+            enumerate(_LIVE_SETS), (None, 0, 1), (None, 0, 2), range(4)
         ):
             plan = _row_plan(k, far_bit, near_bit, later)
             where = (live, far_bit, near_bit, later)
             alive = {s for s in range(4) if (s & 2 or later & 2) and (s & 1 or later & 1)}
+            grown = set(live)
+            grown |= {s | far_bit for s in live if far_bit is not None}
+            grown |= {s | near_bit for s in live if near_bit is not None}
+            kept = _LIVE_SETS[plan.after]
+            assert kept == tuple(sorted(grown & alive)), where
             carried = [s for s in live if s in alive]
-            assert list(range(4)[plan.carry]) == carried and plan.carried == len(carried), where
-            prio: dict[int, int] = {}  # decision code -> priority
-            for passes, bit, decision in ((plan.far, far_bit, 8), (plan.near, near_bit, 4)):
+            src, tgt = plan.carry
+            assert list(live[src]) == carried == list(kept[tgt]), where
+            assert plan.carried == len(carried), where
+            for passes, bit in ((plan.far, far_bit), (plan.near, near_bit)):
                 seen = []
-                for p in passes:
-                    srcs, tgts = list(range(4)[p[0]]), list(range(4)[p[1]])
-                    assert tgts == [s | bit for s in srcs]
-                    priorities = np.broadcast_to(np.asarray(p[-1]).reshape(-1), (len(srcs),))
-                    prio.update((decision + s, int(q)) for s, q in zip(srcs, priorities))
+                for src, tgt, count in passes:
+                    srcs, tgts = list(live[src]), list(kept[tgt])
+                    assert tgts == [s | bit for s in srcs] and len(set(tgts)) == count, where
                     seen += srcs
-                assert sorted(seen) == [s for s in live if s | bit in alive], where
-            for layer in alive:
-                order = [layer] if layer in live else []
-                order += [8 + s for s in live if s | far_bit == layer]
-                order += [4 + s for s in live if s | near_bit == layer]
-                ranks = [_CARRY if code == layer else prio[code] for code in order]
-                at = where + (layer,)
-                assert all(a > b for a, b in zip(ranks, ranks[1:])), at
-                assert all(plan.lut[layer][q] == code for q, code in zip(ranks, order)), at
-                assert plan.lut[layer][7] == 255, at
-            for far_ran, near_ran in product((False, True), repeat=2):
-                grown = set(live)
-                grown |= {s | far_bit for s in live if far_ran}
-                grown |= {s | near_bit for s in live if near_ran}
-                after = _LIVE_SETS[plan.after[far_ran][near_ran]]
-                assert after == tuple(sorted(grown & alive)), where
+                useful = [] if bit is None else [s for s in live if s | bit in alive]
+                assert sorted(seen) == useful, where
 
     def test_int32_headroom_at_byte_limit(self):
-        # the row buffers alone take 2 * 4 * 4 bytes per column of the
-        # 3 * cap + 1 wide window, so no admitted table has a larger cap
-        cap = (MAX_TABLE_BYTES // 32 - 1) // 3
-        assert 2 * 4 * 4 * (3 * cap + 1) <= MAX_TABLE_BYTES
-        assert 8 * (7 * cap + 1) + 6 < 2**31  # largest occupied key
-        assert -(2**31) + 8 * (cap + 4 * cap + 1) + 6 < 0  # an empty chain stays empty
+        # an int32 table's scratch alone takes 4 * 4 bytes per column of the
+        # final band, at least cap + 1 wide, so no admitted table has a
+        # larger cap
+        cap = MAX_TABLE_BYTES // 16 - 1
+        assert 4 * 4 * (cap + 1) <= MAX_TABLE_BYTES
+        assert cap < 2**31  # the largest stored near sum
+        assert -(2**31) + cap < 0  # an empty chain stays negative
 
     def test_predicted_bytes_match_allocations(self, monkeypatch):
         allocated = []
