@@ -29,14 +29,10 @@ candidates offered to it, whichever of them the rule keeps, so the fill
 works on plain sums and never records a decision.  At a fixed difference
 d the total is 2 * (near sum) - d, so a cell stores its near sum, at
 most cap: int16 while cap < 2**15, else int32, with the dtype's minimum
-for an empty cell (sums built on it stay negative).  Per row the carry
-is one copy; a far extension, which leaves the near sum as it is, one
-numpy maximum; a near extension one add and one maximum, all over the
-live flag layers.  Which candidate the rule keeps, the first with the
-largest total in the sequential order (carry, far extensions, near
-extensions, each by ascending source layer), is settled when
-backtracking: at each row the walk takes the first candidate in that
-order whose predecessor sum plus its near weight equals the cell's.
+for an empty cell (sums built on it stay negative).  A row is one ordered
+list of passes (``_RowPlan``): the fill runs each as a numpy copy or
+maximum over the live flag layers, and backtracking settles which
+candidate the rule kept by walking the same passes in the same order.
 Each row touches only its live band of differences and its live flag
 layers: those some earlier row could set that later rows can still
 complete to both flags, the only layer the answer is read from.  It
@@ -94,12 +90,10 @@ assert -(2**31) + _MAX_CAP < 0
 class _SideView:
     """All bases relevant to one (near side, pivot weight) search."""
 
-    n: int
     near: int
     far: int
     pivot_weight: int
-    cand_bases: tuple[int, ...]   # near weight <= pivot weight (zero-weight included)
-    cand_set: frozenset[int]      # the same bases, for membership tests
+    cand_set: frozenset[int]      # near weight <= pivot weight (zero-weight included)
     exact_bases: frozenset[int]   # near weight == pivot weight
     heavy_bases: frozenset[int]   # far weight >= pivot weight
     cap: int                      # sum of candidate near weights
@@ -107,11 +101,11 @@ class _SideView:
 
 def _side_view(weights: Sequence[int], n: int, near: int, pivot_weight: int) -> _SideView:
     far = n - near
-    cand = tuple(i for i in range(1, n + 1) if weights[i + near - 1] <= pivot_weight)
+    cand = frozenset(i for i in range(1, n + 1) if weights[i + near - 1] <= pivot_weight)
     exact = frozenset(i for i in cand if weights[i + near - 1] == pivot_weight)
     heavy = frozenset(i for i in range(1, n + 1) if weights[i + far - 1] >= pivot_weight)
     cap = sum(weights[i + near - 1] for i in cand)
-    return _SideView(n, near, far, pivot_weight, cand, frozenset(cand), exact, heavy, cap)
+    return _SideView(near, far, pivot_weight, cand, exact, heavy, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +140,7 @@ def _heavy_singleton(
             best_num, best_den, best_base = far_w, denom, i
     if best_base is None:
         return None
-    s1 = frozenset(j + view.near for j in view.cand_bases if j != best_base)
+    s1 = frozenset(j + view.near for j in view.cand_set if j != best_base)
     s2 = frozenset({best_base + view.far})
     return s1, s2
 
@@ -172,68 +166,61 @@ _LIVE_SETS = (
 
 
 def _as_slice(positions: Sequence[int]) -> slice:
-    if not positions:
-        return slice(0, 0)
     step = positions[1] - positions[0] if len(positions) > 1 else 1
     assert list(positions) == list(range(positions[0], positions[-1] + 1, step))
     return slice(positions[0], positions[-1] + 1, step)
 
 
+# Pass kinds, in the order a row runs them.
+_CARRY, _FAR, _NEAR = range(3)
+
+
 @dataclass(frozen=True)
 class _RowPlan:
-    """The numpy work of one row, fixed by the live set before it, the
-    flag bits its far and near passes set (None: the pass does not run)
-    and the flag bits later rows can still set.
+    """The numpy work of one row: its passes, in order, and the live set
+    it stores.
 
-    A layer is alive after the row while later rows can still complete it
-    to layer 3; `after` indexes the alive layers the row can reach, the
-    live set it stores.  Slices index a row's stored layers: `carry` maps
-    the live layers that stay alive (`carried` of them) from the previous
-    row's positions to this row's.  `far` and `near` hold one (source
-    positions, target positions, layer count) pass for the live sources
-    without the row's bit and one for those with it, each keeping only
-    sources whose target is alive; two sources of one pass never share a
-    target.
+    A pass (kind, bit, layers, source positions, target positions) moves
+    each layer s in `layers` of the previous row to layer s | bit of this
+    row.  The carry (bit 0) keeps the difference, a far extension lowers
+    it by the row's far weight and a near extension raises it by the
+    row's near weight, which it also adds to the near sum.  The passes
+    come in the order the sequential larger-total rule offers candidates
+    to a cell: the carry, then the far extensions, then the near
+    extensions, each by ascending source layer.  Within a kind the
+    sources without the row's bit come before those with it, so sources
+    that share a target ascend; two sources of one pass never share a
+    target.  A pass keeps only sources whose target is alive, that is,
+    later rows can still complete it to layer 3, and the row stores the
+    union of the targets: `after` indexes it in _LIVE_SETS.  Positions
+    are slices into the previous row's and this row's stored layers.
     """
 
-    far_bit: int | None
-    near_bit: int | None
-    carry: tuple[slice, slice]
-    carried: int
-    far: tuple[tuple[slice, slice, int], ...]
-    near: tuple[tuple[slice, slice, int], ...]
+    passes: tuple[tuple[int, int, tuple[int, ...], slice, slice], ...]
     after: int
 
 
 @functools.cache
 def _row_plan(live: int, far_bit: int | None, near_bit: int | None, later: int) -> _RowPlan:
-    """Plan of a row whose previous row keeps _LIVE_SETS[live] and after
-    which rows can still set the flag bits in `later`."""
+    """Plan of a row whose previous row keeps _LIVE_SETS[live], whose far
+    and near extensions set the given flag bits (None: that kind does not
+    run) and after which rows can still set the flag bits in `later`."""
     sources = _LIVE_SETS[live]
-    alive = {s for s in range(4) if s | later == 3}
-    grown = set(sources)
-    for bit in (far_bit, near_bit):
-        if bit is not None:
-            grown |= {s | bit for s in sources}
-    after = _LIVE_SETS.index(tuple(sorted(grown & alive)))
-    kept = _LIVE_SETS[after]
-
-    def moves(srcs: list[int], tgts: list[int]) -> tuple[slice, slice]:
-        return (_as_slice([sources.index(s) for s in srcs]),
-                _as_slice([kept.index(t) for t in tgts]))
-
-    def passes(bit: int | None) -> tuple[tuple[slice, slice, int], ...]:
+    groups = []
+    for kind, bit in (_CARRY, 0), (_FAR, far_bit), (_NEAR, near_bit):
         if bit is None:
-            return ()
-        useful = [s for s in sources if s | bit in alive]
-        groups = ([s for s in useful if not s & bit], [s for s in useful if s & bit])
-        return tuple((*moves(srcs, [s | bit for s in srcs]), len(srcs)) for srcs in groups if srcs)
-
-    carried = [s for s in sources if s in alive]
-    return _RowPlan(
-        far_bit, near_bit, moves(carried, carried), len(carried),
-        passes(far_bit), passes(near_bit), after,
+            continue
+        useful = [s for s in sources if s | bit | later == 3]
+        for layers in (tuple(s for s in useful if not s & bit), tuple(s for s in useful if s & bit)):
+            if layers:
+                groups.append((kind, bit, layers))
+    kept = tuple(sorted({s | bit for _, bit, layers in groups for s in layers}))
+    passes = tuple(
+        (kind, bit, layers, _as_slice([sources.index(s) for s in layers]),
+         _as_slice([kept.index(s | bit) for s in layers]))
+        for kind, bit, layers in groups
     )
+    return _RowPlan(passes, _LIVE_SETS.index(kept))
 
 
 class DifferenceTable:
@@ -259,18 +246,15 @@ class DifferenceTable:
     one store of sums (see _sum_dtype) allocated once per table: each row
     is a (live layers, band) block of it, written in place, and a
     (4, final band) scratch takes the near-shifted sources.  Per row it
-    does one copy for the carry, one maximum into the row's block per far
-    pass, and one add into the scratch and one maximum per near pass; a
-    phase needs a second pass where two source layers share a target.
+    runs the row's passes (see _RowPlan): a copy for the carry, a maximum
+    into the row's block for a far pass, and an add into the scratch and
+    a maximum for a near pass.
 
     Backtracking replays the sequential larger-total rule instead of
     storing decisions.  At row r, layer t, column c with near sum S it
-    takes the first candidate whose predecessor sum plus its near weight
-    (0 for the carry and a far extension) equals S: the carry from layer
-    t of row r-1, if row r-1 kept t; then, if row r's far pass ran, the
-    far extensions from the sources s of row r-1 with
-    s | (row r's far bit) == t by ascending s; then, if its near pass ran,
-    the near extensions likewise with row r's near bit.  The counter gets
+    walks row r's passes in order and takes the first source s with
+    s | bit == t whose sum in row r-1, at the column the pass moves to c,
+    plus the near weight the pass adds equals S.  The counter gets
     the cells actually touched.  The memory a table needs is predicted
     from the bands and live sets before anything is allocated, and a
     table over MAX_TABLE_BYTES is refused; the scratch alone bounds an
@@ -297,19 +281,19 @@ class DifferenceTable:
         self.cap = view.cap
         self.offset = 2 * self.cap
         self.width = 3 * self.cap + 1
-        rows = self._bands()
-        need = self._predicted_bytes(rows)
+        layout = self._bands()
+        need = self._predicted_bytes(layout)
         if need > MAX_TABLE_BYTES:
             raise ValueError(
                 f"difference table needs {need} bytes, over the {MAX_TABLE_BYTES}-byte limit"
             )
-        self._rows = rows
-        self._fill(counter)
+        self._rows, sizes = layout
+        self._fill(sizes, counter)
 
-    def _bands(self) -> list[tuple[int, int, int, _RowPlan | None]]:
+    def _bands(self) -> tuple[list[tuple[int, int, int, _RowPlan | None]], list[int]]:
         """Rows 0..n: first and last live column, each band containing the
         last; the index in _LIVE_SETS of the layers the row keeps; and the
-        row's plan (None for row 0)."""
+        row's plan (None for row 0).  Also each row's stored cell count."""
         w, n, near, far, v = self.weights, self.n, self.near, self.far, self.pivot_weight
         view = self.view
         # later[i]: the flag bits rows after row i can still set; a layer s
@@ -320,6 +304,7 @@ class DifferenceTable:
         lo = hi = self.offset
         live = 0 if later[0] == 3 else _LIVE_SETS.index(())
         rows = [(lo, hi, live, None)]
+        sizes = [len(_LIVE_SETS[live])]
         for i in range(1, n + 1):
             near_w = w[i + near - 1]
             far_w = w[i + far - 1]
@@ -340,17 +325,17 @@ class DifferenceTable:
             )
             live = plan.after
             rows.append((lo, hi, live, plan))
-        return rows
+            sizes.append(len(_LIVE_SETS[live]) * (hi - lo + 1))
+        return rows, sizes
 
-    def _predicted_bytes(self, rows: list[tuple[int, int, int, _RowPlan | None]]) -> int:
+    def _predicted_bytes(self, layout: tuple[list, list[int]]) -> int:
         """Bytes of the store and the scratch."""
+        rows, sizes = layout
         lo, hi = rows[-1][:2]  # the widest band
-        cells = sum(len(_LIVE_SETS[live]) * (b - a + 1) for a, b, live, _ in rows)
-        return np.dtype(_sum_dtype(self.cap)).itemsize * (cells + 4 * (hi - lo + 1))
+        return np.dtype(_sum_dtype(self.cap)).itemsize * (sum(sizes) + 4 * (hi - lo + 1))
 
-    def _fill(self, counter: OpCounter | None) -> None:
+    def _fill(self, sizes: list[int], counter: OpCounter | None) -> None:
         w, near, far, rows = self.weights, self.near, self.far, self._rows
-        sizes = [len(_LIVE_SETS[live]) * (hi - lo + 1) for lo, hi, live, _ in rows]
         dtype = _sum_dtype(self.cap)
         store = np.full(sum(sizes), np.iinfo(dtype).min, dtype=dtype)
         z = np.empty((4, rows[-1][1] - rows[-1][0] + 1), dtype=dtype)
@@ -365,25 +350,20 @@ class DifferenceTable:
             lo0, hi0 = rows[i - 1][:2]
             lo, hi, _, plan = rows[i]
             x, y = blocks[i - 1], blocks[i]
-            if plan.carried:
-                src, tgt = plan.carry
-                y[tgt, lo0 - lo:hi0 - lo + 1] = x[src]
-                ops += plan.carried * (hi0 - lo0 + 1)
-            if plan.far:
-                far_w = w[i + far - 1]
-                span = hi0 - far_w - lo + 1
-                for src, tgt, k in plan.far:
-                    dest = y[tgt, :span]
-                    np.maximum(dest, x[src, lo + far_w - lo0:], out=dest)
-                    ops += k * span
-            if plan.near:
-                near_w = w[i + near - 1]
-                for src, tgt, k in plan.near:
-                    buf = z[:k, :hi0 - lo0 + 1]
-                    np.add(x[src], near_w, out=buf)
-                    dest = y[tgt, lo0 + near_w - lo:]
-                    np.maximum(dest, buf, out=dest)
-                    ops += k * (hi0 - lo0 + 1)
+            near_w = w[i + near - 1]
+            shifts = (0, -w[i + far - 1], near_w)
+            for kind, _, layers, src, tgt in plan.passes:
+                shift = shifts[kind]
+                first = max(lo0 + shift, lo)  # far writes below lo fall off the window
+                dest = y[tgt, first - lo:hi0 + shift - lo + 1]
+                sums = x[src, first - shift - lo0:]
+                if kind == _CARRY:
+                    dest[...] = sums
+                else:
+                    if kind == _NEAR:
+                        sums = np.add(sums, near_w, out=z[:len(layers), :sums.shape[1]])
+                    np.maximum(dest, sums, out=dest)
+                ops += len(layers) * dest.shape[1]
         self._blocks = blocks
         lo, hi = rows[-1][:2]
         ops += hi - lo + 1  # final scan
@@ -444,31 +424,35 @@ class DifferenceTable:
         s1: set[int] = set()
         s2: set[int] = set()
         while r > 0:
-            plan = self._rows[r][3]
-            sources = _LIVE_SETS[self._rows[r - 1][2]]
-            near_w = self.weights[r + self.near - 1]
-            far_w = self.weights[r + self.far - 1]
-            # (side, source layer, source column, near weight) in the fill's order
-            order = [(0, t, c, 0)] if t in sources else []
-            if plan.far_bit is not None:
-                order += [(2, s, c + far_w, 0) for s in sources if s | plan.far_bit == t]
-            if plan.near_bit is not None:
-                order += [(1, s, c - near_w, near_w) for s in sources if s | plan.near_bit == t]
-            for side, s, col, added in order:
-                before = self._cell(r - 1, s, col)
-                if before >= 0 and before + added == near_sum:
-                    break
-            else:
-                raise AssertionError("backtracking found no candidate for a stored sum")
-            if side == 1:
+            kind, t, c, near_sum = self._kept_candidate(r, t, c, near_sum)
+            if kind == _NEAR:
                 s1.add(r + self.near)
-            elif side == 2:
+            elif kind == _FAR:
                 s2.add(r + self.far)
-            r, t, c, near_sum = r - 1, s, col, before
+            r -= 1
         if t != 0 or c != self.offset:
             raise AssertionError("backtracking did not end at the empty pair")
         self._check_discipline(s1, s2, diff)
         return frozenset(s1), frozenset(s2)
+
+    def _kept_candidate(self, r: int, t: int, c: int, near_sum: int) -> tuple[int, int, int, int]:
+        """(kind, source layer, source column, source near sum) of the first
+        candidate, in row r's pass order, that gives layer t, column c of
+        row r its near sum."""
+        lo, hi, _, _ = self._rows[r - 1]
+        x = self._blocks[r - 1]
+        near_w = self.weights[r + self.near - 1]
+        shifts = (0, -self.weights[r + self.far - 1], near_w)
+        for kind, bit, layers, src, _ in self._rows[r][3].passes:
+            col = c - shifts[kind]
+            # the source's near sum; a negative one could only match an empty cell
+            want = near_sum - near_w if kind == _NEAR else near_sum
+            if want < 0 or not lo <= col <= hi:
+                continue
+            for j, s in enumerate(layers):
+                if s | bit == t and int(x[src.start + j * src.step, col - lo]) == want:
+                    return kind, s, col, want
+        raise AssertionError("backtracking found no candidate for a stored sum")
 
     def _check_discipline(self, s1: set[int], s2: set[int], diff: int) -> None:
         v = self.pivot_weight
@@ -501,10 +485,8 @@ class DifferenceTable:
         The ratio of a cell is (total+|d|)/(total-|d|), the larger sum over
         the smaller, compared exactly.
         """
-        lo, _, live, _ = self._rows[self.n]
-        if not _LIVE_SETS[live]:
-            return None
-        sums = self._blocks[self.n][0]  # the final row keeps layer 3 alone
+        lo = self._rows[self.n][0]
+        sums = self._blocks[self.n].ravel()  # the final row keeps layer 3 alone, or nothing
         cols = np.nonzero(sums >= 0)[0]
         if cols.size == 0:
             return None

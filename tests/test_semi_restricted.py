@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssratio
 from ssratio import (
     DifferenceTable,
     OpCounter,
@@ -22,7 +27,10 @@ from ssratio import (
 )
 from ssratio.semi_restricted import (
     MAX_TABLE_BYTES,
+    _CARRY,
+    _FAR,
     _LIVE_SETS,
+    _NEAR,
     _heavy_singleton,
     _row_plan,
     _side_view,
@@ -351,9 +359,9 @@ def reference_fill(weights, n, near, pivot_weight, prune=True):
     fell off the window.
     """
     far = n - near
-    view = _side_view(weights, n, near, pivot_weight)
-    cand_set = frozenset(view.cand_bases)
-    cap, v = view.cap, pivot_weight
+    v = pivot_weight
+    cand_set = {i for i in range(1, n + 1) if weights[i + near - 1] <= v}
+    cap = sum(weights[i + near - 1] for i in cand_set)
 
     def completable(layer, row):
         later = range(row + 1, n + 1)
@@ -555,10 +563,13 @@ class TestPackedKernel:
 
     def test_row_plans_follow_sequential_order(self):
         # every (live set, far bit, near bit, flag bits later rows can set),
-        # a bit None when its pass does not run: only layers the later rows
-        # can complete to both flags are written, each pass maps sources to
-        # their targets without two sources sharing one, and the row keeps
-        # the alive layers it can reach
+        # a bit None when that kind does not run: the passes come as carry,
+        # far, near; the carry is the bit-0 pass over the alive sources;
+        # each pass writes only layers later rows can complete to both
+        # flags, no two of its sources sharing a target; within a kind the
+        # sources of one target come in ascending order, the order in which
+        # the sequential rule offers them; and the row keeps the alive
+        # layers it can reach
         for (k, live), far_bit, near_bit, later in product(
             enumerate(_LIVE_SETS), (None, 0, 1), (None, 0, 2), range(4)
         ):
@@ -570,18 +581,40 @@ class TestPackedKernel:
             grown |= {s | near_bit for s in live if near_bit is not None}
             kept = _LIVE_SETS[plan.after]
             assert kept == tuple(sorted(grown & alive)), where
+            order = [_CARRY, _FAR, _NEAR]
+            kinds = [kind for kind, *_ in plan.passes]
+            assert kinds == sorted(kinds, key=order.index), where
             carried = [s for s in live if s in alive]
-            src, tgt = plan.carry
-            assert list(live[src]) == carried == list(kept[tgt]), where
-            assert plan.carried == len(carried), where
-            for passes, bit in ((plan.far, far_bit), (plan.near, near_bit)):
-                seen = []
-                for src, tgt, count in passes:
-                    srcs, tgts = list(live[src]), list(kept[tgt])
-                    assert tgts == [s | bit for s in srcs] and len(set(tgts)) == count, where
-                    seen += srcs
+            carries = [(bit, layers) for kind, bit, layers, _, _ in plan.passes if kind == _CARRY]
+            assert carries == ([(0, tuple(carried))] if carried else []), where
+            moves = {_CARRY: [], _FAR: [], _NEAR: []}  # (source, target) in pass order
+            for kind, bit, layers, src, tgt in plan.passes:
+                assert bit == {_CARRY: 0, _FAR: far_bit, _NEAR: near_bit}[kind], where
+                targets = [s | bit for s in layers]
+                assert list(live[src]) == list(layers), where
+                assert list(kept[tgt]) == targets and len(set(targets)) == len(targets), where
+                assert set(targets) <= alive, where
+                moves[kind] += [(s, s | bit) for s in layers]
+            for kind, bit in ((_FAR, far_bit), (_NEAR, near_bit)):
                 useful = [] if bit is None else [s for s in live if s | bit in alive]
-                assert sorted(seen) == useful, where
+                assert sorted(s for s, _ in moves[kind]) == useful, where
+                for t in range(4):
+                    sources = [s for s, target in moves[kind] if target == t]
+                    assert sources == sorted(sources), where + (t,)
+
+    def test_import_builds_no_plan(self):
+        # row plans are built on first use, not when the CLI is imported
+        code = (
+            "import ssratio.cli\n"
+            "from ssratio.semi_restricted import _row_plan\n"
+            "print(_row_plan.cache_info().currsize)"
+        )
+        src = str(Path(ssratio.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "0"
 
     def test_int32_headroom_at_byte_limit(self):
         # an int32 table's scratch alone takes 4 * 4 bytes per column of the
