@@ -5,11 +5,12 @@ index m, scale_instance rescales the instance by delta = epsilon * w_m /
 (3N) and floors each weight to an integer (in integer arithmetic on
 numerators and denominators); fptas_solve then solves the pivoted problem
 exactly on the scaled weights with ssratio.semi_restricted.exact_solver
-and evaluates the returned sets on the ORIGINAL weights.  The best value
-over all pivots is within a factor (1 + epsilon) of the true optimum
-whenever a feasible solution exists; the bound is certified in exact
-rationals, and the per-pivot scaling inequalities behind it are checked
-by the test suite.
+and evaluates the returned sets on the ORIGINAL weights, comparing pairs
+by their integer sums over the weights' common denominator.  The best
+value over all pivots is within a factor (1 + epsilon) of the true
+optimum whenever a feasible solution exists; the bound is certified in
+exact rationals, and the per-pivot scaling inequalities behind it are
+checked by the test suite.
 
 Pivots of equal weight value share the scaled weights, so the solver gets
 one memo per pivot value: each per-side search (and its DP table) runs once
@@ -36,7 +37,7 @@ from .core import (
     SolutionPair,
     TwoSetInstance,
 )
-from .semi_restricted import exact_solver
+from .semi_restricted import _pair_key, exact_solver
 
 __all__ = [
     "PivotLog",
@@ -149,9 +150,13 @@ def fptas_solve(
     weights = inst.weights
     count = 2 * inst.n
     ops = OpCounter()
+    # the original weights over their common denominator: a pair's ratio is
+    # the ratio of its integer sums
+    lcm = math.lcm(*(w.denominator for w in weights))
+    numerators = [w.numerator * (lcm // w.denominator) for w in weights]
 
-    best_pair = SolutionPair.empty()
-    best_value: Fraction | float = math.inf
+    best_sets = None
+    best_hi, best_lo = 1, 0  # ratio inf: every pair's hi * 0 < 1 * lo
     pivot_used: int | None = None
     log: list[PivotLog] = []
     memos: dict[Fraction, dict] = {}  # per pivot value: one scaled vector
@@ -159,18 +164,17 @@ def fptas_solve(
         scaled = scale_instance(weights, m, eps)
         s1, s2 = exact_solver(scaled, m, ops, memo=memos.setdefault(weights[m - 1], {}))
         if s1 and s2:
-            pair = SolutionPair.from_sets(weights, s1, s2)
-            value = pair.value()
-            if value < best_value:
-                best_pair, best_value, pivot_used = pair, value, m
-        else:
-            value = math.inf
+            hi, lo = _pair_key(numerators, (s1, s2))
+            if hi * best_lo < best_hi * lo:
+                best_sets, best_hi, best_lo, pivot_used = (s1, s2), hi, lo, m
         if collect_log:
+            value = Fraction(hi, lo) if s1 and s2 else math.inf
             log.append(PivotLog(m, scaled_pair_value(scaled, s1, s2), value))
 
+    best_pair = SolutionPair.from_sets(weights, *best_sets) if best_sets else SolutionPair.empty()
     return ApproxResult(
         solution=best_pair,
-        value=best_value,
+        value=best_pair.value(),
         bound=1 + eps,
         pivot_used=pivot_used,
         pivots_evaluated=count,

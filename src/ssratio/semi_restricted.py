@@ -481,12 +481,18 @@ class DifferenceTable:
     def best_cell(self) -> tuple[int, int] | None:
         """(difference, total) of the min-ratio cell among (row n, both flags).
 
-        Scans differences in increasing order; ties keep the earlier one.
         The ratio of a cell is (total+|d|)/(total-|d|), the larger sum over
-        the smaller, compared exactly.
+        the smaller.  An occupied cell at d = 0 has ratio exactly 1 and
+        every other difference a larger one, so it is returned at once.
+        Otherwise the scan compares ratios exactly over differences in
+        increasing order; ties keep the earlier one.
         """
         lo = self._rows[self.n][0]
         sums = self._blocks[self.n].ravel()  # the final row keeps layer 3 alone, or nothing
+        if sums.size and sums[self.offset - lo] >= 0:
+            total = 2 * int(sums[self.offset - lo])
+            assert total > 0
+            return 0, total
         cols = np.nonzero(sums >= 0)[0]
         if cols.size == 0:
             return None

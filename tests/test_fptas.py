@@ -11,6 +11,7 @@ import pytest
 
 from ssratio import (
     OpCounter,
+    PivotLog,
     SolutionPair,
     TwoSetInstance,
     brute_force_two_set,
@@ -25,6 +26,24 @@ from ssratio import (
 from ssratio import semi_restricted
 from conftest import GUARANTEE_EPSILONS, random_pairs
 from scaling_checks import check_optimum_scaling, check_pivot_inequalities
+
+
+def reference_driver(inst, eps):
+    """The driver loop with no memo, evaluating every pivot's pair in
+    Fractions through SolutionPair.from_sets: (solution, value, pivot_used,
+    per-pivot log)."""
+    best, best_value, pivot_used, log = SolutionPair.empty(), math.inf, None, []
+    for m in range(1, 2 * inst.n + 1):
+        scaled = scale_instance(inst.weights, m, eps)
+        s1, s2 = exact_solver(scaled, m)
+        value = math.inf
+        if s1 and s2:
+            pair = SolutionPair.from_sets(inst.weights, s1, s2)
+            value = pair.value()
+            if value < best_value:
+                best, best_value, pivot_used = pair, value, m
+        log.append(PivotLog(m, scaled_pair_value(scaled, s1, s2), value))
+    return best, best_value, pivot_used, tuple(log)
 
 
 class TestScaleInstance:
@@ -162,6 +181,48 @@ class TestDriver:
         assert fptas_solve(inst, eps).dp_cell_ops == counter.cells > 0
 
 
+class TestPairComparison:
+    """The driver compares pivot pairs by integer sums over the weights'
+    common denominator; the reference evaluates each pair in Fractions."""
+
+    def instances(self):
+        rng = random.Random(83)
+        yield TwoSetInstance.from_pairs([("1/2", "2/3"), ("3/4", "1/6"), ("5/7", "2/5")])
+        for _ in range(6):
+            yield TwoSetInstance.from_pairs(
+                [(Fraction(rng.randint(1, 40), rng.randint(1, 9)),
+                  Fraction(rng.randint(1, 40), rng.randint(1, 9)))
+                 for _ in range(rng.randint(2, 5))]
+            )
+        for r in (Fraction(3, 2), Fraction(7, 3)):
+            for _ in range(3):
+                yield encode_factor_r_weights([rng.randint(1, 30) for _ in range(5)], r)
+        yield encode_ssr_weights(["1e400", 1])
+        yield TwoSetInstance.from_pairs([(2, 2)])  # infeasible
+        yield TwoSetInstance.from_pairs([(5, 4), (3, 6), (5, 4)])  # pivots tie
+
+    def test_matches_fraction_reference(self):
+        ties = infeasible = 0
+        for inst in self.instances():
+            for eps in (Fraction(1, 10), Fraction(1, 2)):
+                res = fptas_solve(inst, eps, collect_log=True)
+                solution, value, pivot_used, log = reference_driver(inst, eps)
+                where = (inst.weights, eps)
+                assert res.solution == solution, where
+                assert res.value == value and type(res.value) is type(value), where
+                assert res.pivot_used == pivot_used, where
+                assert res.per_pivot_log == log, where
+                for got, want in zip(res.per_pivot_log, log):
+                    assert type(got.original_value) is type(want.original_value), where
+                assert fptas_solve(inst, eps).solution == solution, where
+                winners = [e.m for e in log if e.original_value == value]
+                # the first of several equal-valued pivots wins
+                ties += len(winners) > 1 and value < math.inf
+                assert pivot_used == (winners[0] if value < math.inf else None), where
+                infeasible += value == math.inf
+        assert ties > 0 and infeasible > 0
+
+
 class TestSideCache:
     """The driver shares per-side searches across pivots of equal value."""
 
@@ -182,23 +243,11 @@ class TestSideCache:
     def symmetric(inst):
         return inst.weights[:inst.n] == inst.weights[inst.n:]
 
-    @staticmethod
-    def uncached_solve(inst, eps):
-        """Reference driver: every pivot solved afresh, with no memo."""
-        best, best_value, pivot_used = SolutionPair.empty(), math.inf, None
-        for m in range(1, 2 * inst.n + 1):
-            s1, s2 = exact_solver(scale_instance(inst.weights, m, eps), m)
-            if s1 and s2:
-                pair = SolutionPair.from_sets(inst.weights, s1, s2)
-                if pair.value() < best_value:
-                    best, best_value, pivot_used = pair, pair.value(), m
-        return best, best_value, pivot_used
-
     def test_cached_matches_uncached(self):
         for inst in self.instances():
             for eps in (Fraction(1, 10), Fraction(1, 2)):
                 cached = fptas_solve(inst, eps)
-                solution, value, pivot_used = self.uncached_solve(inst, eps)
+                solution, value, pivot_used, _ = reference_driver(inst, eps)
                 assert cached.solution == solution, inst.weights
                 assert cached.value == value
                 assert cached.pivot_used == pivot_used

@@ -542,6 +542,26 @@ class TestPackedKernel:
             fewer += counter.cells < ops
         assert fewer > 0
 
+    def test_best_cell_matches_exact_scan(self):
+        # an exact scan over the final cells the table reports: the first
+        # minimum-ratio difference, whether best_cell leaves at d = 0 or scans
+        rng = random.Random(0xBE57)
+        battery = list(self.instances())
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            weights = tuple(rng.randint(1, 40) for _ in range(2 * n))
+            near = rng.choice((0, n))
+            battery.append((weights, n, near, rng.choice(weights[near:near + n])))
+        at_zero = {True: 0, False: 0}
+        for weights, n, near, v in battery:
+            table = DifferenceTable(weights, n, near, v)
+            totals = [table.total(col - table.offset) for col in range(table.width)]
+            want = reference_answer([-1 if t is None else t for t in totals], table.offset)
+            assert table.best_cell() == want, (weights, n, near, v)
+            if want is not None:
+                at_zero[table.total(0) is not None] += 1
+        assert at_zero[True] > 0 and at_zero[False] > 0
+
     def test_backtracking_replays_the_tie_rule(self):
         # near side 0.  In both, rows 1-3 leave a light far set {b1, b2}
         # in layer 0 and a heavy one {b3} in layer 1 with the same
