@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 from .core import SolutionPair, TwoSetInstance, check_feasible_semi_restricted, parse_rational
 from . import oracle as oracle_mod
-from .fptas import ApproxResult, _floor_scaled, fptas_solve
+from .fptas import ApproxResult, fptas_solve
 from .reductions import decode, encode_factor_r_weights, encode_ssr_weights
 
 FORMAT_VERSION = 1
@@ -431,10 +431,12 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     if _is_index(pivot_used, 2 * n):
         # pivot claim in the pivot's scaled weights: flooring can merge
         # distinct original weights, so the claim on original weights fails
-        # for some correct outputs
-        scaled = _floor_scaled(encoded.weights, pivot_used, options["epsilon"])
-        smaller_max = min(max(scaled[i - 1] for i in side) for side in (sol.s1, sol.s2))
-        if smaller_max != scaled[pivot_used - 1]:
+        # for some correct outputs.  Floors are monotone, so the smaller
+        # set maximum's floor is the smaller of the two sets' scaled maxima
+        w, eps = encoded.weights, options["epsilon"]
+        delta = eps * w[pivot_used - 1] / (3 * 2 * n)
+        smaller_max = min(max(w[i - 1] for i in side) for side in (sol.s1, sol.s2))
+        if smaller_max // delta != w[pivot_used - 1] // delta:
             problems.append(f"the smaller set maximum does not scale to pivot {pivot_used}")
     return problems
 

@@ -56,7 +56,9 @@ def scale_instance(
     delta = epsilon * (pivot weight) / (3N) with N the flattened element
     count, so the scaled pivot weight is floor(3N/epsilon) regardless of
     the original weights.  Flooring preserves weight order weakly and
-    drops at most delta per element.
+    drops at most delta per element.  Each weight v = a/b is floored as
+    (a * q) // (b * p) with delta = p/q in lowest terms, so no Fraction is
+    divided per weight.
     """
     w = [parse_rational(v) for v in weights]
     if not w:
@@ -68,14 +70,6 @@ def scale_instance(
     eps = parse_rational(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    return _floor_scaled(w, m, eps)
-
-
-def _floor_scaled(w: Sequence[Fraction], m: int, eps: Fraction) -> tuple[int, ...]:
-    """scale_instance on validated input.  Each weight v = a/b is floored as
-    (a * q) // (b * p) with delta = p/q in lowest terms, so no Fraction is
-    divided per weight.  `check` calls this directly, so the benchmark's
-    traced scale_instance calls stay one per solver pivot."""
     count = len(w)
     delta = eps * w[m - 1] / (3 * count)
     p, q = delta.numerator, delta.denominator

@@ -82,66 +82,40 @@ _MAX_CAP = MAX_TABLE_BYTES // 16 - 1
 assert -(2**31) + _MAX_CAP < 0
 
 # ---------------------------------------------------------------------------
-# value-based per-side view
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SideView:
-    """All bases relevant to one (near side, pivot weight) search."""
-
-    near: int
-    far: int
-    pivot_weight: int
-    cand_set: frozenset[int]      # near weight <= pivot weight (zero-weight included)
-    exact_bases: frozenset[int]   # near weight == pivot weight
-    heavy_bases: frozenset[int]   # far weight >= pivot weight
-    cap: int                      # sum of candidate near weights
-
-
-def _side_view(weights: Sequence[int], n: int, near: int, pivot_weight: int) -> _SideView:
-    far = n - near
-    cand = frozenset(i for i in range(1, n + 1) if weights[i + near - 1] <= pivot_weight)
-    exact = frozenset(i for i in cand if weights[i + near - 1] == pivot_weight)
-    heavy = frozenset(i for i in range(1, n + 1) if weights[i + far - 1] >= pivot_weight)
-    cap = sum(weights[i + near - 1] for i in cand)
-    return _SideView(near, far, pivot_weight, cand, exact, heavy, cap)
-
-
-# ---------------------------------------------------------------------------
 # heavy-singleton regime
 # ---------------------------------------------------------------------------
 
 
 def _heavy_singleton(
-    weights: Sequence[int], view: _SideView, counter: OpCounter | None = None
+    table: DifferenceTable, counter: OpCounter | None = None
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     """Best pair whose far set is a single element heavier than the cap.
 
-    For each heavy base whose far weight exceeds the cap, the candidate
-    near set is every admissible near element except the scanned base's
-    own; the candidate is valid only if that set still holds an element of
-    exactly the pivot weight.  First strict minimum wins.
+    For each base whose far weight exceeds the cap, the candidate near set
+    is every admissible near element except the scanned base's own; the
+    candidate is valid only if that set still holds an element of exactly
+    the pivot weight.  Bases are scanned in ascending order and the first
+    strict minimum wins.  The counter gets one cell per far weight >= the
+    pivot weight.
     """
+    v, cap = table.pivot_weight, table.cap
+    near_ws, far_ws = table.near_weights, table.far_weights
     if counter is not None:
-        counter.add(len(view.heavy_bases))
+        counter.add(sum(w >= v for w in far_ws))
+    exact = near_ws.count(v)
     best_num = best_den = 0
     best_base = None
-    for i in sorted(view.heavy_bases):
-        far_w = weights[i + view.far - 1]
-        if far_w <= view.cap:
+    for i, (near_w, far_w) in enumerate(zip(near_ws, far_ws), 1):
+        if far_w <= cap or exact == (near_w == v):  # no other pivot-valued near element
             continue
-        if not (view.exact_bases - {i}):
-            continue
-        removed = weights[i + view.near - 1] if i in view.cand_set else 0
-        denom = view.cap - removed
-        assert denom >= view.pivot_weight > 0
+        denom = cap - (near_w if near_w <= v else 0)
+        assert denom >= v > 0
         if best_base is None or far_w * best_den < best_num * denom:
             best_num, best_den, best_base = far_w, denom, i
     if best_base is None:
         return None
-    s1 = frozenset(j + view.near for j in view.cand_set if j != best_base)
-    s2 = frozenset({best_base + view.far})
+    s1 = frozenset(j + table.near for j, w in enumerate(near_ws, 1) if w <= v and j != best_base)
+    s2 = frozenset({best_base + table.far})
     return s1, s2
 
 
@@ -155,14 +129,6 @@ def _sum_dtype(cap: int) -> type:
     cell, the dtype's minimum, stays negative after gaining near weights
     that add up to at most cap."""
     return np.int16 if cap < 2**15 else np.int32
-
-
-# Flag layers a row keeps: reachable by some pair and still completable to
-# the answer layer 3 (see _row_plan).  A row stores them in this order.
-_LIVE_SETS = (
-    (0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3),
-    (1,), (2,), (3,), (1, 3), (2, 3), (),
-)
 
 
 def _as_slice(positions: Sequence[int]) -> slice:
@@ -192,20 +158,21 @@ class _RowPlan:
     that share a target ascend; two sources of one pass never share a
     target.  A pass keeps only sources whose target is alive, that is,
     later rows can still complete it to layer 3, and the row stores the
-    union of the targets: `after` indexes it in _LIVE_SETS.  Positions
-    are slices into the previous row's and this row's stored layers.
+    union of the targets, `after`, in ascending order.  Positions are
+    slices into the previous row's and this row's stored layers.
     """
 
     passes: tuple[tuple[int, int, tuple[int, ...], slice, slice], ...]
-    after: int
+    after: tuple[int, ...]
 
 
 @functools.cache
-def _row_plan(live: int, far_bit: int | None, near_bit: int | None, later: int) -> _RowPlan:
-    """Plan of a row whose previous row keeps _LIVE_SETS[live], whose far
-    and near extensions set the given flag bits (None: that kind does not
-    run) and after which rows can still set the flag bits in `later`."""
-    sources = _LIVE_SETS[live]
+def _row_plan(
+    sources: tuple[int, ...], far_bit: int | None, near_bit: int | None, later: int
+) -> _RowPlan:
+    """Plan of a row whose previous row keeps the layers `sources`, whose
+    far and near extensions set the given flag bits (None: that kind does
+    not run) and after which rows can still set the flag bits in `later`."""
     groups = []
     for kind, bit in (_CARRY, 0), (_FAR, far_bit), (_NEAR, near_bit):
         if bit is None:
@@ -220,7 +187,7 @@ def _row_plan(live: int, far_bit: int | None, near_bit: int | None, later: int) 
          _as_slice([kept.index(s | bit) for s in layers]))
         for kind, bit, layers in groups
     )
-    return _RowPlan(passes, _LIVE_SETS.index(kept))
+    return _RowPlan(passes, kept)
 
 
 class DifferenceTable:
@@ -272,13 +239,14 @@ class DifferenceTable:
         if pivot_weight < 1:
             raise ValueError("pivot weight must be >= 1")
         self.weights = tuple(weights)
-        view = _side_view(self.weights, n, near, pivot_weight)
-        self.view = view
         self.n = n
         self.near = near
-        self.far = view.far
+        self.far = n - near
         self.pivot_weight = pivot_weight
-        self.cap = view.cap
+        # row i's near and far weights, at index i - 1
+        self.near_weights = self.weights[near:near + n]
+        self.far_weights = self.weights[self.far:self.far + n]
+        self.cap = sum(w for w in self.near_weights if w <= pivot_weight)
         self.offset = 2 * self.cap
         self.width = 3 * self.cap + 1
         layout = self._bands()
@@ -290,27 +258,24 @@ class DifferenceTable:
         self._rows, sizes = layout
         self._fill(sizes, counter)
 
-    def _bands(self) -> tuple[list[tuple[int, int, int, _RowPlan | None]], list[int]]:
+    def _bands(self) -> tuple[list[tuple[int, int, tuple[int, ...], _RowPlan | None]], list[int]]:
         """Rows 0..n: first and last live column, each band containing the
-        last; the index in _LIVE_SETS of the layers the row keeps; and the
-        row's plan (None for row 0).  Also each row's stored cell count."""
-        w, n, near, far, v = self.weights, self.n, self.near, self.far, self.pivot_weight
-        view = self.view
+        last; the flag layers the row keeps, ascending; and the row's plan
+        (None for row 0).  Also each row's stored cell count."""
+        near_ws, far_ws, v = self.near_weights, self.far_weights, self.pivot_weight
         # later[i]: the flag bits rows after row i can still set; a layer s
         # of row i can reach the answer layer 3 only while s | later[i] == 3
-        later = [0] * (n + 1)
-        for i in range(n, 0, -1):
-            later[i - 1] = later[i] | 2 * (i in view.exact_bases) | (i in view.heavy_bases)
+        later = [0] * (self.n + 1)
+        for i in range(self.n, 0, -1):
+            later[i - 1] = later[i] | 2 * (near_ws[i - 1] == v) | (far_ws[i - 1] >= v)
         lo = hi = self.offset
-        live = 0 if later[0] == 3 else _LIVE_SETS.index(())
+        live = (0,) if later[0] == 3 else ()
         rows = [(lo, hi, live, None)]
-        sizes = [len(_LIVE_SETS[live])]
-        for i in range(1, n + 1):
-            near_w = w[i + near - 1]
-            far_w = w[i + far - 1]
+        sizes = [len(live)]
+        for i, (near_w, far_w) in enumerate(zip(near_ws, far_ws), 1):
             lo0, hi0 = lo, hi
             lo = max(0, lo0 - far_w)
-            near_on = near_w > 0 and i in view.cand_set
+            near_on = 0 < near_w <= v
             if near_on:
                 hi += near_w
             # far-set extension: difference shifts down by far_w; writes below
@@ -325,7 +290,7 @@ class DifferenceTable:
             )
             live = plan.after
             rows.append((lo, hi, live, plan))
-            sizes.append(len(_LIVE_SETS[live]) * (hi - lo + 1))
+            sizes.append(len(live) * (hi - lo + 1))
         return rows, sizes
 
     def _predicted_bytes(self, layout: tuple[list, list[int]]) -> int:
@@ -335,7 +300,7 @@ class DifferenceTable:
         return np.dtype(_sum_dtype(self.cap)).itemsize * (sum(sizes) + 4 * (hi - lo + 1))
 
     def _fill(self, sizes: list[int], counter: OpCounter | None) -> None:
-        w, near, far, rows = self.weights, self.near, self.far, self._rows
+        rows = self._rows
         dtype = _sum_dtype(self.cap)
         store = np.full(sum(sizes), np.iinfo(dtype).min, dtype=dtype)
         z = np.empty((4, rows[-1][1] - rows[-1][0] + 1), dtype=dtype)
@@ -346,12 +311,11 @@ class DifferenceTable:
             start += size
         blocks[0][:, 0] = 0  # the empty pair, if kept
         ops = 0
-        for i in range(1, self.n + 1):
+        for i, (near_w, far_w) in enumerate(zip(self.near_weights, self.far_weights), 1):
             lo0, hi0 = rows[i - 1][:2]
             lo, hi, _, plan = rows[i]
             x, y = blocks[i - 1], blocks[i]
-            near_w = w[i + near - 1]
-            shifts = (0, -w[i + far - 1], near_w)
+            shifts = (0, -far_w, near_w)
             for kind, _, layers, src, tgt in plan.passes:
                 shift = shifts[kind]
                 first = max(lo0 + shift, lo)  # far writes below lo fall off the window
@@ -381,8 +345,7 @@ class DifferenceTable:
     def _cell(self, row: int, layer: int, col: int) -> int:
         """Stored near sum of a cell; -1 when the row does not keep it or it
         is empty."""
-        lo, hi, live, _ = self._rows[row]
-        layers = _LIVE_SETS[live]
+        lo, hi, layers, _ = self._rows[row]
         if layer not in layers or not lo <= col <= hi:
             return -1
         return max(int(self._blocks[row][layers.index(layer), col - lo]), -1)
@@ -441,8 +404,8 @@ class DifferenceTable:
         row r its near sum."""
         lo, hi, _, _ = self._rows[r - 1]
         x = self._blocks[r - 1]
-        near_w = self.weights[r + self.near - 1]
-        shifts = (0, -self.weights[r + self.far - 1], near_w)
+        near_w = self.near_weights[r - 1]
+        shifts = (0, -self.far_weights[r - 1], near_w)
         for kind, bit, layers, src, _ in self._rows[r][3].passes:
             col = c - shifts[kind]
             # the source's near sum; a negative one could only match an empty cell
@@ -548,7 +511,7 @@ def _solve_one_side(
     table = DifferenceTable(weights, n, near, pivot_weight, counter)
     dp_best = table.best_cell()
     dp_sets = table.reconstruct(dp_best[0]) if dp_best is not None else None
-    singleton_sets = _heavy_singleton(weights, table.view, counter)
+    singleton_sets = _heavy_singleton(table, counter)
     # the DP result stands unless the singleton scan is strictly better
     if _strictly_better(weights, singleton_sets, dp_sets):
         return singleton_sets
@@ -584,8 +547,8 @@ def exact_solver(
     by (near side, pivot weight); a repeated side costs no cells.  When
     weights[:n] == weights[n:], a side whose twin (the other near side, same
     pivot weight) is already in the memo takes the twin's result with every
-    index shifted by n, at no cells: both sides then have the same view and
-    the same table.
+    index shifted by n, at no cells: both sides then have the same row
+    weights and the same table.
     """
     if len(weights) % 2 != 0 or not weights:
         raise ValueError("flattened weight list must have positive even length")

@@ -111,3 +111,18 @@ def test_traced_solve_keeps_the_benchmark_invariants(tracing, tmp_path, doc):
     metrics = tracing.layer_metrics(tracer.spans, {"case": doc["problem"]})
     assert metrics["fptas.scale_calls"][0] == stats["pivots_evaluated"]
     assert metrics["semi_restricted.cells"][0] == stats["dp_cell_ops"] > 0
+
+
+def test_check_scales_no_pivot(tracing, tmp_path):
+    # a traced run counts every scale_instance call as a solver pivot, so
+    # `check` tests the pivot claim without calling it
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"format": 1, "problem": "ssr", "weights": [3, 5, 7, 5, 9]}))
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", str(inst), "--epsilon", "1/4", "--output", str(sol)]) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(["check", str(inst), str(sol)]) == 0
+    names = {span[1] for span in tracer.spans}
+    assert "cli.verify_solution" in names
+    assert "fptas.scale_instance" not in names

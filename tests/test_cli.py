@@ -4,14 +4,25 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssratio.cli import _emit, build_parser, main, random_two_set
+from ssratio import fptas_solve, scale_instance
+from ssratio.cli import (
+    _emit,
+    _encode,
+    build_parser,
+    build_solution_doc,
+    main,
+    random_two_set,
+    verify_solution,
+)
 
 
 def write_instance(tmp_path, name, doc):
@@ -389,6 +400,48 @@ class TestCheck:
         Path(sol).write_text(json.dumps(doc))
         code, out, err = run(capsys, "check", inst, sol)
         assert code == 1 and out == "" and err.startswith("check failed:") and "pivot_m" in err
+
+    def test_pivot_claim_matches_scaled_vector(self):
+        # check's verdict on every rewritten pivot_used against the claim on
+        # scale_instance's full vector: the smaller set maximum scales to the
+        # pivot's scaled weight
+        rng = random.Random(0x5CA1E)
+        instances = [
+            # at epsilon 9/10, 100 and 101 floor alike at pivot 100 (delta
+            # 7.5), and 40 and 41 at pivot 41 (delta 3.075)
+            {"problem": "ssr", "weights": [Fraction(100), Fraction(101), Fraction(201)]},
+            {"problem": "two-set", "pairs": [(Fraction(40), Fraction(41)), (Fraction(81), Fraction(1))]},
+        ]
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            weights = [Fraction(rng.randint(1, 60), rng.randint(1, 4)) for _ in range(2 * n)]
+            instances.append({"problem": "two-set", "pairs": list(zip(weights[:n], weights[n:]))})
+            instances.append({"problem": "ssr", "weights": weights[:n]})
+            for r in (Fraction(1), Fraction(3, 2), Fraction(7, 3)):
+                instances.append({"problem": "factor-r", "weights": weights[n:], "r": r})
+        verdicts = {True: 0, False: 0}
+        merged = 0
+        for instance, eps in product(instances, (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))):
+            encoded = _encode(instance)
+            result = fptas_solve(encoded, eps)
+            sol = result.solution
+            if sol.is_empty:
+                continue
+            stats = {"pivots_evaluated": result.pivots_evaluated, "dp_cell_ops": result.dp_cell_ops}
+            for k in range(1, 2 * encoded.n + 1):
+                doc = build_solution_doc(instance, sol, "fptas", result.status,
+                                         epsilon=eps, pivot_used=k, stats=stats)
+                problems = verify_solution(instance, doc)
+                claim = f"the smaller set maximum does not scale to pivot {k}"
+                assert problems in ([], [claim]), (instance, eps, k, problems)
+                scaled = scale_instance(encoded.weights, k, eps)
+                want = min(max(scaled[i - 1] for i in side) for side in (sol.s1, sol.s2))
+                accepted = want == scaled[k - 1]
+                assert (not problems) == accepted, (instance, eps, k)
+                verdicts[accepted] += 1
+                smaller_max = min(max(encoded.weights[i - 1] for i in side) for side in (sol.s1, sol.s2))
+                merged += accepted and smaller_max != encoded.weights[k - 1]
+        assert verdicts[True] > 0 and verdicts[False] > 0 and merged > 0
 
     def test_oracle_stats_must_be_zero(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")

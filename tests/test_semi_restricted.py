@@ -29,11 +29,9 @@ from ssratio.semi_restricted import (
     MAX_TABLE_BYTES,
     _CARRY,
     _FAR,
-    _LIVE_SETS,
     _NEAR,
     _heavy_singleton,
     _row_plan,
-    _side_view,
 )
 from conftest import random_pairs
 
@@ -52,7 +50,7 @@ def heavy_singleton(pairs, m):
     """The singleton regime alone, on the pivot's side."""
     weights, n = flat(pairs), len(pairs)
     near = 0 if m <= n else n
-    found = _heavy_singleton(weights, _side_view(weights, n, near, weights[m - 1]))
+    found = _heavy_singleton(DifferenceTable(weights, n, near, weights[m - 1]))
     return SolutionPair.from_sets(weights, *found) if found else SolutionPair.empty()
 
 
@@ -86,6 +84,53 @@ class TestHeavySingleton:
         assert brute_force_semi_restricted(
             TwoSetInstance.from_pairs([(5, 4), (9, 100)]), 1
         ).optimum == 20
+
+    def test_matches_reference_scan(self):
+        def reference(weights, n, near, v):
+            # bases in ascending order, first strict minimum; one cell per
+            # far weight >= v
+            far = n - near
+            cand = [j for j in range(1, n + 1) if weights[near + j - 1] <= v]
+            cap = sum(weights[near + j - 1] for j in cand)
+            best = None
+            for i in range(1, n + 1):
+                far_w = weights[far + i - 1]
+                s1 = [j for j in cand if j != i]
+                if far_w < v or far_w <= cap or v not in [weights[near + j - 1] for j in s1]:
+                    continue
+                ratio = Fraction(far_w, sum(weights[near + j - 1] for j in s1))
+                if best is None or ratio < best[0]:
+                    best = ratio, (frozenset(j + near for j in s1), frozenset({i + far}))
+            cells = sum(weights[far + i - 1] >= v for i in range(1, n + 1))
+            return (best[1] if best else None), cells
+
+        # near side 0 throughout.  (a) bases 1 and 2 tie at 10/2 and base 3,
+        # outside the candidates, at 20/4 with the full cap: base 1 wins.
+        # (b) base 1 holds the only pivot-valued near element, so its 5/2
+        # is skipped and base 2's 50/3 stands.  (c) base 2's near 9 exceeds
+        # the pivot weight: its scan keeps the full cap 5 (far 100 / 5)
+        battery = [
+            ((2, 2, 9, 10, 10, 20), 3, 0, 2, ({2}, {4})),
+            ((2, 1, 1, 5, 50, 1), 3, 0, 2, ({1, 3}, {5})),
+            ((5, 9, 4, 100), 2, 0, 5, ({1}, {4})),
+        ]
+        rng = random.Random(0x5166)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            weights = tuple(rng.choice((1, 2, 3, 5, 8, 30, 60)) for _ in range(2 * n))
+            near = rng.choice((0, n))
+            battery.append((weights, n, near, rng.choice(weights[near:near + n]), None))
+        found = 0
+        for weights, n, near, v, explicit in battery:
+            counter = OpCounter()
+            got = _heavy_singleton(DifferenceTable(weights, n, near, v), counter)
+            want, cells = reference(weights, n, near, v)
+            where = (weights, n, near, v)
+            assert got == want and counter.cells == cells, where
+            if explicit is not None:
+                assert got == tuple(map(frozenset, explicit)), where
+            found += got is not None
+        assert found > 10
 
 
 class TestDifferenceDp:
@@ -431,6 +476,14 @@ def reference_fill(weights, n, near, pivot_weight, prune=True):
     return codes, totals, ops, seen
 
 
+# the flag layers a row can keep: reachable by some pair and still
+# completable to the answer layer 3
+LIVE_SETS = (
+    (0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3),
+    (1,), (2,), (3,), (1, 3), (2, 3), (),
+)
+
+
 def stored_totals(table):
     """The table's totals of rows 1..n as an (n, 4, width) array (-1: a cell
     the row does not keep, or an empty one)."""
@@ -439,7 +492,7 @@ def stored_totals(table):
         lo, hi, live, _ = table._rows[row]
         block = table._blocks[row]
         totals = 2 * block.astype(np.int64) - (np.arange(lo, hi + 1) - table.offset)
-        out[row - 1, list(_LIVE_SETS[live]), lo:hi + 1] = np.where(block >= 0, totals, -1)
+        out[row - 1, list(live), lo:hi + 1] = np.where(block >= 0, totals, -1)
     return out
 
 
@@ -517,10 +570,7 @@ class TestPackedKernel:
             met["live"] |= seen["live"]
             for key in ("ties", "zeros", "fell_off"):
                 met[key] += seen[key]
-        assert met["live"] == {
-            (0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3),
-            (1,), (2,), (3,), (1, 3), (2, 3), (),
-        }
+        assert met["live"] == set(LIVE_SETS)
         assert met["ties"] > 0 and met["zeros"] > 0 and met["fell_off"] > 0
 
     def test_answer_matches_unpruned_reference(self):
@@ -590,16 +640,16 @@ class TestPackedKernel:
         # sources of one target come in ascending order, the order in which
         # the sequential rule offers them; and the row keeps the alive
         # layers it can reach
-        for (k, live), far_bit, near_bit, later in product(
-            enumerate(_LIVE_SETS), (None, 0, 1), (None, 0, 2), range(4)
+        for live, far_bit, near_bit, later in product(
+            LIVE_SETS, (None, 0, 1), (None, 0, 2), range(4)
         ):
-            plan = _row_plan(k, far_bit, near_bit, later)
+            plan = _row_plan(live, far_bit, near_bit, later)
             where = (live, far_bit, near_bit, later)
             alive = {s for s in range(4) if (s & 2 or later & 2) and (s & 1 or later & 1)}
             grown = set(live)
             grown |= {s | far_bit for s in live if far_bit is not None}
             grown |= {s | near_bit for s in live if near_bit is not None}
-            kept = _LIVE_SETS[plan.after]
+            kept = plan.after
             assert kept == tuple(sorted(grown & alive)), where
             order = [_CARRY, _FAR, _NEAR]
             kinds = [kind for kind, *_ in plan.passes]
