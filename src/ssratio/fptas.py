@@ -12,12 +12,12 @@ optimum whenever a feasible solution exists; the bound is certified in
 exact rationals, and the per-pivot scaling inequalities behind it are
 checked by the test suite.
 
-Pivots of equal weight value share the scaled weights, so the solver gets
-one memo per pivot value: each per-side search (and its DP table) runs once
-per (value, near side), and a repeated pivot costs no cells.  When the
-scaled weights of both sides are equal, as in the ssr encoding and
+The solver gets one memo per solve and keys each per-side search (and its
+DP table) by the scaled weights, near side and pivot weight it reads, so
+pivots that scale alike share it and a repeated one costs no cells.  When
+the scaled weights of both sides are equal, as in the ssr encoding and
 factor-r with r = 1, the solver mirrors one side's search into the other,
-so one table is built per pivot value.
+so one table is built per scaled vector.
 
 The driver sees only two-set instances: the plain and factor-r problems
 reach it through ssratio.reductions (encode, fptas_solve, decode).
@@ -37,7 +37,7 @@ from .core import (
     SolutionPair,
     TwoSetInstance,
 )
-from .semi_restricted import _pair_key, exact_solver
+from .semi_restricted import exact_solver
 
 __all__ = [
     "PivotLog",
@@ -153,12 +153,14 @@ def fptas_solve(
     best_hi, best_lo = 1, 0  # ratio inf: every pair's hi * 0 < 1 * lo
     pivot_used: int | None = None
     log: list[PivotLog] = []
-    memos: dict[Fraction, dict] = {}  # per pivot value: one scaled vector
+    memo: dict = {}
     for m in range(1, count + 1):
         scaled = scale_instance(weights, m, eps)
-        s1, s2 = exact_solver(scaled, m, ops, memo=memos.setdefault(weights[m - 1], {}))
+        s1, s2 = exact_solver(scaled, m, ops, memo=memo)
         if s1 and s2:
-            hi, lo = _pair_key(numerators, (s1, s2))
+            sum1 = sum(numerators[i - 1] for i in s1)
+            sum2 = sum(numerators[j - 1] for j in s2)
+            hi, lo = max(sum1, sum2), min(sum1, sum2)
             if hi * best_lo < best_hi * lo:
                 best_sets, best_hi, best_lo, pivot_used = (s1, s2), hi, lo, m
         if collect_log:

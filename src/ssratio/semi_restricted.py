@@ -81,6 +81,10 @@ MAX_TABLE_BYTES = 2 << 30
 _MAX_CAP = MAX_TABLE_BYTES // 16 - 1
 assert -(2**31) + _MAX_CAP < 0
 
+# A side search answers with (larger sum, smaller sum, sets); a beats b when
+# a[0] * b[1] < b[0] * a[1].  No pair reads as 1/0: it beats none, all beat it.
+_NO_PAIR = (1, 0, (frozenset(), frozenset()))
+
 # ---------------------------------------------------------------------------
 # heavy-singleton regime
 # ---------------------------------------------------------------------------
@@ -88,8 +92,9 @@ assert -(2**31) + _MAX_CAP < 0
 
 def _heavy_singleton(
     table: DifferenceTable, counter: OpCounter | None = None
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Best pair whose far set is a single element heavier than the cap.
+) -> tuple[int, int, tuple[frozenset[int], frozenset[int]]]:
+    """Best pair whose far set is a single element heavier than the cap, as
+    (far weight, near sum, sets); _NO_PAIR when there is none.
 
     For each base whose far weight exceeds the cap, the candidate near set
     is every admissible near element except the scanned base's own; the
@@ -113,10 +118,10 @@ def _heavy_singleton(
         if best_base is None or far_w * best_den < best_num * denom:
             best_num, best_den, best_base = far_w, denom, i
     if best_base is None:
-        return None
+        return _NO_PAIR
     s1 = frozenset(j + table.near for j, w in enumerate(near_ws, 1) if w <= v and j != best_base)
     s2 = frozenset({best_base + table.far})
-    return s1, s2
+    return best_num, best_den, (s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +211,16 @@ class DifferenceTable:
     empty pair at difference 0 with both flags clear, kept if some row can
     set each flag.
 
-    Row i can only occupy its live band of columns,
-    [offset - min(2*cap, far prefix sum), offset + candidate near prefix
-    sum], and only the flag layers some earlier row could set and some
-    later rows can complete.  The fill touches nothing else.  It works in
-    one store of sums (see _sum_dtype) allocated once per table: each row
-    is a (live layers, band) block of it, written in place, and a
-    (4, final band) scratch takes the near-shifted sources.  Per row it
-    runs the row's passes (see _RowPlan): a copy for the carry, a maximum
-    into the row's block for a far pass, and an add into the scratch and
-    a maximum for a near pass.
+    Row i can only occupy its live band of columns, [offset - min(2*cap, far
+    prefix sum), offset + candidate near prefix sum], the far prefix sum
+    counting only rows whose far pass runs, and only the flag layers some
+    earlier row could set and later rows can complete.  The fill touches
+    nothing else.  It works in one store of sums (see _sum_dtype) allocated
+    once per table: each row is a (live layers, band) block of it, written
+    in place, and a (4, final band) scratch takes the near-shifted sources.
+    Per row it runs the row's passes (see _RowPlan): a copy for the carry,
+    a maximum into the row's block for a far pass, and an add into the
+    scratch and a maximum for a near pass.
 
     Backtracking replays the sequential larger-total rule instead of
     storing decisions.  At row r, layer t, column c with near sum S it
@@ -274,14 +279,16 @@ class DifferenceTable:
         sizes = [len(live)]
         for i, (near_w, far_w) in enumerate(zip(near_ws, far_ws), 1):
             lo0, hi0 = lo, hi
-            lo = max(0, lo0 - far_w)
             near_on = 0 < near_w <= v
             if near_on:
                 hi += near_w
             # far-set extension: difference shifts down by far_w; writes below
             # -2*cap fall off the window (they cannot belong to an optimal
-            # pair of this regime)
-            far_on = far_w > 0 and hi0 - far_w - lo + 1 > 0
+            # pair of this regime).  It is the only pass that writes below
+            # lo0, so lo moves only when it runs
+            far_on = 0 < far_w <= hi0
+            if far_on:
+                lo = max(0, lo0 - far_w)
             plan = _row_plan(
                 live,
                 int(far_w >= v) if far_on else None,
@@ -481,50 +488,24 @@ class DifferenceTable:
 # ---------------------------------------------------------------------------
 
 
-def _pair_key(weights: Sequence[int], sets: tuple[frozenset[int], frozenset[int]]) -> tuple[int, int]:
-    sum1 = sum(weights[i - 1] for i in sets[0])
-    sum2 = sum(weights[j - 1] for j in sets[1])
-    return max(sum1, sum2), min(sum1, sum2)
-
-
-def _strictly_better(
-    weights: Sequence[int],
-    cand: tuple[frozenset[int], frozenset[int]] | None,
-    incumbent: tuple[frozenset[int], frozenset[int]] | None,
-) -> bool:
-    if cand is None:
-        return False
-    if incumbent is None:
-        return True
-    chi, clo = _pair_key(weights, cand)
-    ihi, ilo = _pair_key(weights, incumbent)
-    return chi * ilo < ihi * clo
-
-
 def _solve_one_side(
     weights: Sequence[int], n: int, near: int, pivot_weight: int, counter: OpCounter | None
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Exact optimum among solutions whose pivot-valued set lies on `near`."""
+) -> tuple[int, int, tuple[frozenset[int], frozenset[int]]]:
+    """Exact optimum among solutions whose pivot-valued set lies on `near`,
+    as (larger sum, smaller sum, sets)."""
     far = n - near
     if pivot_weight not in weights[near:near + n] or max(weights[far:far + n]) < pivot_weight:
-        return None
+        return _NO_PAIR
     table = DifferenceTable(weights, n, near, pivot_weight, counter)
-    dp_best = table.best_cell()
-    dp_sets = table.reconstruct(dp_best[0]) if dp_best is not None else None
-    singleton_sets = _heavy_singleton(table, counter)
-    # the DP result stands unless the singleton scan is strictly better
-    if _strictly_better(weights, singleton_sets, dp_sets):
-        return singleton_sets
-    return dp_sets
-
-
-def _mirrored(
-    sets: tuple[frozenset[int], frozenset[int]] | None, n: int
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """A side's result with every index moved to the other half."""
-    if sets is None:
-        return None
-    return tuple(frozenset(i + n if i <= n else i - n for i in part) for part in sets)
+    singleton = _heavy_singleton(table, counter)
+    best = table.best_cell()
+    if best is not None:
+        diff, total = best
+        hi, lo = (total + abs(diff)) // 2, (total - abs(diff)) // 2
+        # the DP pair stands unless the singleton is strictly better
+        if singleton[0] * lo >= hi * singleton[1]:
+            return hi, lo, table.reconstruct(diff)
+    return singleton
 
 
 def exact_solver(
@@ -541,14 +522,13 @@ def exact_solver(
     weight >= the pivot weight >= 1), so they are carried harmlessly.
     Returns two frozensets; both empty means infeasible.
 
-    A per-side search depends only on the weights, the near side and the
-    pivot weight, so pivots of equal weight share it.  `memo`, a dict the
-    caller keeps for calls on the same `weights`, stores each side's result
-    by (near side, pivot weight); a repeated side costs no cells.  When
-    weights[:n] == weights[n:], a side whose twin (the other near side, same
-    pivot weight) is already in the memo takes the twin's result with every
-    index shifted by n, at no cells: both sides then have the same row
-    weights and the same table.
+    `memo`, one dict for any calls, stores each side's answer under the
+    weights as a tuple, then (near side, pivot weight): all a search reads,
+    so a repeated side costs no cells.  Weights are validated first, as
+    (True, 1) == (1, 1).  When weights[:n] == weights[n:], a side whose twin
+    (the other near side, same pivot weight) is in the memo takes the twin's
+    answer with every index shifted by n, at no cells.  The pivot's side
+    stands unless the other is strictly better.
     """
     if len(weights) % 2 != 0 or not weights:
         raise ValueError("flattened weight list must have positive even length")
@@ -562,24 +542,25 @@ def exact_solver(
     if pivot_weight < 1:
         raise ValueError("pivot weight must be >= 1")
 
-    memo = {} if memo is None else memo
+    weights = tuple(weights)
+    sides = {} if memo is None else memo.setdefault(weights, {})
 
-    def search(side: int) -> tuple[frozenset[int], frozenset[int]] | None:
+    def search(side: int) -> tuple[int, int, tuple[frozenset[int], frozenset[int]]]:
         key = (side, pivot_weight)
-        if key not in memo:
+        if key not in sides:
             twin = (n - side, pivot_weight)
-            if twin in memo and weights[:n] == weights[n:]:
-                memo[key] = _mirrored(memo[twin], n)
+            if twin in sides and weights[:n] == weights[n:]:
+                hi, lo, sets = sides[twin]  # every index moved to the other half
+                sides[key] = hi, lo, tuple(frozenset(i + n if i <= n else i - n for i in part)
+                                           for part in sets)
             else:
-                memo[key] = _solve_one_side(weights, n, side, pivot_weight, counter)
-        return memo[key]
+                sides[key] = _solve_one_side(weights, n, side, pivot_weight, counter)
+        return sides[key]
 
     near = 0 if m <= n else n
     best = search(near)
     # the pivot weight may also be realised on the opposite side
     other = search(n - near)
-    if _strictly_better(weights, other, best):
+    if other[0] * best[1] < best[0] * other[1]:
         best = other
-    if best is None:
-        return frozenset(), frozenset()
-    return best
+    return best[2]

@@ -171,12 +171,11 @@ class TestDriver:
 
     def test_counter_accumulates(self):
         # dp_cell_ops is the exact solver's count over all pivots, one memo
-        # per pivot value
+        # per solve
         inst = TwoSetInstance.from_pairs([(5, 4), (3, 6)])
         eps = Fraction(1, 2)
-        counter, memos = OpCounter(), {}
+        counter, memo = OpCounter(), {}
         for m in range(1, 2 * inst.n + 1):
-            memo = memos.setdefault(inst.weights[m - 1], {})
             exact_solver(scale_instance(inst.weights, m, eps), m, counter, memo=memo)
         assert fptas_solve(inst, eps).dp_cell_ops == counter.cells > 0
 
@@ -282,10 +281,41 @@ class TestSideCache:
                         expected.add((scaled, near, v))
             assert set(built) == expected, inst.weights
 
+    def test_pivots_that_scale_alike_share_a_table(self, monkeypatch):
+        # factor-r [46, 24, 44, 37], r = 5/4: at epsilon 9/10 the pivot values
+        # 46 and 185/4 floor to one scaled vector, searched on both sides, so
+        # a memo keyed by the weights builds two tables fewer than one memo
+        # per pivot value would
+        built = []
+
+        class Recording(semi_restricted.DifferenceTable):
+            def __init__(self, weights, n, near, pivot_weight, counter=None):
+                built.append((tuple(weights), near, pivot_weight))
+                super().__init__(weights, n, near, pivot_weight, counter)
+
+        monkeypatch.setattr(semi_restricted, "DifferenceTable", Recording)
+        inst = encode_factor_r_weights([46, 24, 44, 37], Fraction(5, 4))
+        eps = Fraction(9, 10)
+        per_value, per_vector = set(), set()
+        for m in range(1, 2 * inst.n + 1):
+            scaled = scale_instance(inst.weights, m, eps)
+            v = scaled[m - 1]
+            for near in (0, inst.n):
+                far = inst.n - near
+                if v in scaled[near:near + inst.n] and max(scaled[far:far + inst.n]) >= v:
+                    per_value.add((inst.weights[m - 1], near))
+                    per_vector.add((scaled, near, v))
+        res = fptas_solve(inst, eps, collect_log=True)
+        assert len(built) == len(per_vector) == len(per_value) - 2
+        assert set(built) == per_vector
+        solution, value, pivot_used, log = reference_driver(inst, eps)
+        assert (res.solution, res.value, res.pivot_used, res.per_pivot_log) == (
+            solution, value, pivot_used, log)
+
     def test_mirrored_sides_match_a_fresh_search(self):
-        # on symmetric weights one side of each memo is mirrored from the
-        # other (test_no_table_is_built_twice counts the tables); both must
-        # equal a search run from scratch, sets and all
+        # on symmetric weights one side of each scaled vector is mirrored
+        # from the other (test_no_table_is_built_twice counts the tables);
+        # both must equal a search run from scratch, sums and sets
         rng = random.Random(67)
         instances = [encode_ssr_weights([rng.randint(1, 60) for _ in range(rng.randint(2, 7))])
                      for _ in range(8)]
@@ -295,13 +325,12 @@ class TestSideCache:
         for inst in instances:
             assert self.symmetric(inst)
             for eps in (Fraction(1, 10), Fraction(1, 2)):
-                memos: dict[Fraction, dict] = {}
+                memo: dict = {}
                 for m in range(1, 2 * inst.n + 1):
                     scaled = scale_instance(inst.weights, m, eps)
-                    memo = memos.setdefault(inst.weights[m - 1], {})
                     exact_solver(scaled, m, memo=memo)
-                    assert len(memo) == 2
-                    for (side, v), result in memo.items():
+                    assert len(memo[scaled]) == 2
+                    for (side, v), result in memo[scaled].items():
                         fresh = semi_restricted._solve_one_side(scaled, inst.n, side, v, None)
                         assert result == fresh, (inst.weights, m, side)
 

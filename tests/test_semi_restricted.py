@@ -32,6 +32,7 @@ from ssratio.semi_restricted import (
     _NEAR,
     _heavy_singleton,
     _row_plan,
+    _solve_one_side,
 )
 from conftest import random_pairs
 
@@ -50,8 +51,8 @@ def heavy_singleton(pairs, m):
     """The singleton regime alone, on the pivot's side."""
     weights, n = flat(pairs), len(pairs)
     near = 0 if m <= n else n
-    found = _heavy_singleton(DifferenceTable(weights, n, near, weights[m - 1]))
-    return SolutionPair.from_sets(weights, *found) if found else SolutionPair.empty()
+    _, _, found = _heavy_singleton(DifferenceTable(weights, n, near, weights[m - 1]))
+    return SolutionPair.from_sets(weights, *found) if found[1] else SolutionPair.empty()
 
 
 def difference_dp(pairs, m):
@@ -102,7 +103,7 @@ class TestHeavySingleton:
                 if best is None or ratio < best[0]:
                     best = ratio, (frozenset(j + near for j in s1), frozenset({i + far}))
             cells = sum(weights[far + i - 1] >= v for i in range(1, n + 1))
-            return (best[1] if best else None), cells
+            return (best[1] if best else (frozenset(), frozenset())), cells
 
         # near side 0 throughout.  (a) bases 1 and 2 tie at 10/2 and base 3,
         # outside the candidates, at 20/4 with the full cap: base 1 wins.
@@ -123,13 +124,15 @@ class TestHeavySingleton:
         found = 0
         for weights, n, near, v, explicit in battery:
             counter = OpCounter()
-            got = _heavy_singleton(DifferenceTable(weights, n, near, v), counter)
+            hi, lo, got = _heavy_singleton(DifferenceTable(weights, n, near, v), counter)
             want, cells = reference(weights, n, near, v)
             where = (weights, n, near, v)
             assert got == want and counter.cells == cells, where
+            # its own sums: the far weight, above the cap, and the near set's sum
+            assert (hi, lo) == (resummed(weights, got) if got[1] else (1, 0)), where
             if explicit is not None:
                 assert got == tuple(map(frozenset, explicit)), where
-            found += got is not None
+            found += bool(got[1])
         assert found > 10
 
 
@@ -212,6 +215,101 @@ class TestSolve:
             first = solve(pairs, m)
             second = solve(pairs, m)
             assert first == second
+
+
+def resummed(weights, sets):
+    """(larger sum, smaller sum) of a pair, summed on the weights."""
+    sums = [sum(weights[i - 1] for i in part) for part in sets]
+    return max(sums), min(sums)
+
+
+def ratio(weights, sets):
+    return Fraction(*resummed(weights, sets))
+
+
+def reference_side(weights, n, near, v):
+    """A side's sets by the rule written out: re-sum the DP pair and the
+    heavy singleton on the weights; the DP pair stands on a tie and the
+    singleton wins only when strictly better.  Also which it was: "dp",
+    "tie", "single" (beats a DP pair), "only" (no DP pair) or None."""
+    table = DifferenceTable(weights, n, near, v)
+    best = table.best_cell()
+    dp = table.reconstruct(best[0]) if best is not None else None
+    single = _heavy_singleton(table)[2]
+    if not single[1]:
+        return dp, "dp" if dp else None
+    if dp is None:
+        return single, "only"
+    if ratio(weights, single) < ratio(weights, dp):
+        return single, "single"
+    return dp, "tie" if ratio(weights, single) == ratio(weights, dp) else "dp"
+
+
+class TestSideChoice:
+    def test_one_memo_serves_any_weights(self):
+        # a memo shared by calls on different weights answers each with its
+        # own optimum, although the first three calls all search pivot
+        # weight 5 on side 0
+        memo = {}
+        first = exact_solver((5, 3, 4, 6), 1, memo=memo)
+        for weights in ((5, 5, 1, 1), (5, 3, 2, 1, 1, 7)):
+            assert exact_solver(weights, 1, memo=memo) == exact_solver(weights, 1) != first
+        rng = random.Random(0x3E30)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            weights = tuple(rng.randint(1, 9) for _ in range(2 * n))
+            for m in range(1, 2 * n + 1):
+                assert exact_solver(weights, m, memo=memo) == exact_solver(weights, m), (weights, m)
+        # a list and a tuple of the same weights share their searches
+        counter = OpCounter()
+        assert exact_solver([5, 3, 4, 6], 1, counter, memo=memo) == first
+        assert counter.cells == 0
+
+    def test_weights_are_validated_before_the_memo(self):
+        # (True, 1, 2, 2) == (1.0, 1, 2, 2) == (1, 1, 2, 2), and they hash
+        # alike, so a memo holding the valid vector must not answer the others
+        memo = {}
+        assert exact_solver((1, 1, 2, 2), 1, memo=memo) == (frozenset({1}), frozenset({4}))
+        bad = [(True, 1, 2, 2), (1.0, 1, 2, 2), (1, 1, 2.0, 2), (1, 1, 2, 2 + 0j),
+               (-1, 1, 2, 2), ([1], 1, 2, 2), (1, 1, {2}, 2)]
+        for weights in bad:
+            for kept in (memo, None):
+                with pytest.raises(ValueError, match="integers >= 0"):
+                    exact_solver(weights, 1, memo=kept)
+
+    def test_matches_the_side_rule(self):
+        # each side answers with the rule re-summed on the weights, and of
+        # the two sides the pivot's own stands unless the other is strictly
+        # better.  Explicit: a DP pair that ties the singleton (the same
+        # pair), and a singleton that beats the DP pair
+        tie = ((3, 6, 40, 2), 2, 2, 2)
+        win = ((20, 6, 4, 20, 40, 20, 40, 1, 5, 1), 5, 5, 1)
+        assert reference_side(*tie)[1] == "tie"
+        assert reference_side(*win)[1] == "single"
+        rng = random.Random(0x51DE)
+        battery = [tie[:2], win[:2]]
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            battery.append((tuple(rng.choice((1, 2, 3, 4, 6, 20, 40)) for _ in range(2 * n)), n))
+        seen = {"dp": 0, "tie": 0, "single": 0, "only": 0, None: 0}
+        for weights, n in battery:
+            sides = {}
+            for near, v in product((0, n), set(weights)):
+                sets, how = reference_side(weights, n, near, v)
+                seen[how] += 1
+                sides[near, v] = sets
+                hi, lo, got = _solve_one_side(weights, n, near, v, None)
+                if sets is None:
+                    assert (hi, lo, got) == (1, 0, (frozenset(), frozenset())), (weights, near, v)
+                else:
+                    assert got == sets and (hi, lo) == resummed(weights, sets), (weights, near, v)
+            for m in range(1, 2 * n + 1):
+                near = 0 if m <= n else n
+                best, other = (sides[side, weights[m - 1]] for side in (near, n - near))
+                if other and (not best or ratio(weights, other) < ratio(weights, best)):
+                    best = other
+                assert exact_solver(weights, m) == (best or (frozenset(), frozenset())), (weights, m)
+        assert seen["tie"] > 0 and seen["single"] > 0 and seen["only"] > 0, seen
 
 
 class TestOracleEquivalence:
@@ -428,7 +526,11 @@ def reference_fill(weights, n, near, pivot_weight, prune=True):
         seen["live"].add(tuple(live))
         seen["zeros"] += (near_w == 0) + (far_w == 0)
         lo0, hi0 = lo, hi
-        lo = max(0, lo0 - far_w)
+        # the far pass is the only pass that writes below lo0, so a row
+        # without one (a zero far weight, or one above hi0 that shifts every
+        # write off the window) leaves those columns empty: the band keeps lo0
+        if 0 < far_w <= hi0:
+            lo = max(0, lo0 - far_w)
         hi = hi0 + (near_w if i in cand_set else 0)
         y = totals[i - 1]
         code = codes[i - 1]
