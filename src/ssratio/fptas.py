@@ -57,13 +57,16 @@ def scale_instance(
     count, so the scaled pivot weight is floor(3N/epsilon) regardless of
     the original weights.  Flooring preserves weight order weakly and
     drops at most delta per element.  Each weight v = a/b is floored as
-    (a * q) // (b * p) with delta = p/q in lowest terms, so no Fraction is
-    divided per weight.
+    (a * q) // (b * p) with delta = p/q, p and q taken from the numerators
+    and denominators of epsilon and the pivot weight, so no Fraction is
+    built or divided per weight; an int weight, whose numerator and
+    denominator are itself and 1, is not parsed either.  Scaling every
+    weight by one factor leaves the result unchanged.
     """
-    w = [parse_rational(v) for v in weights]
+    w = [v if type(v) is int else parse_rational(v) for v in weights]
     if not w:
         raise ValueError("cannot scale an empty instance")
-    if any(v.numerator <= 0 for v in w):
+    if min([v.numerator for v in w]) <= 0:
         raise ValueError("weights must be strictly positive")
     if not 1 <= m <= len(w):
         raise ValueError(f"pivot {m} out of range 1..{len(w)}")
@@ -71,9 +74,10 @@ def scale_instance(
     if not 0 < eps < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     count = len(w)
-    delta = eps * w[m - 1] / (3 * count)
-    p, q = delta.numerator, delta.denominator
-    scaled = tuple(v.numerator * q // (v.denominator * p) for v in w)
+    pivot = w[m - 1]
+    p = eps.numerator * pivot.numerator
+    q = eps.denominator * pivot.denominator * 3 * count
+    scaled = tuple([v.numerator * q // (v.denominator * p) for v in w])
     assert scaled[m - 1] == 3 * count * eps.denominator // eps.numerator >= 3 * count
     return scaled
 
@@ -145,7 +149,7 @@ def fptas_solve(
     count = 2 * inst.n
     ops = OpCounter()
     # the original weights over their common denominator: a pair's ratio is
-    # the ratio of its integer sums
+    # the ratio of its integer sums, and they scale as the weights do
     lcm = math.lcm(*(w.denominator for w in weights))
     numerators = [w.numerator * (lcm // w.denominator) for w in weights]
 
@@ -155,7 +159,7 @@ def fptas_solve(
     log: list[PivotLog] = []
     memo: dict = {}
     for m in range(1, count + 1):
-        scaled = scale_instance(weights, m, eps)
+        scaled = scale_instance(numerators, m, eps)
         s1, s2 = exact_solver(scaled, m, ops, memo=memo)
         if s1 and s2:
             sum1 = sum(numerators[i - 1] for i in s1)

@@ -81,6 +81,14 @@ MAX_TABLE_BYTES = 2 << 30
 _MAX_CAP = MAX_TABLE_BYTES // 16 - 1
 assert -(2**31) + _MAX_CAP < 0
 
+# Stored cells of the full layout from which a table given a window is
+# clipped.  Measured on the tables of the three benchmark workloads (seed 5),
+# best of 5 builds each, median of clipped over full time per bin of stored
+# cells: +8% to +15% below 2**10, +1% to +5% from 2**10 to 2**15, then -4%
+# in [2**15, 2**16), -8% in [2**16, 2**17), -19% in [2**18, 2**19) and -25%
+# in [2**19, 2**20).
+_CLIP_MIN_CELLS = 2**15
+
 # A side search answers with (larger sum, smaller sum, sets); a beats b when
 # a[0] * b[1] < b[0] * a[1].  No pair reads as 1/0: it beats none, all beat it.
 _NO_PAIR = (1, 0, (frozenset(), frozenset()))
@@ -148,8 +156,8 @@ _CARRY, _FAR, _NEAR = range(3)
 
 @dataclass(frozen=True)
 class _RowPlan:
-    """The numpy work of one row: its passes, in order, and the live set
-    it stores.
+    """The numpy work of one row: its passes, in order, the live set it
+    stores, and per stored layer the candidates backtracking walks.
 
     A pass (kind, bit, layers, source positions, target positions) moves
     each layer s in `layers` of the previous row to layer s | bit of this
@@ -165,10 +173,13 @@ class _RowPlan:
     later rows can still complete it to layer 3, and the row stores the
     union of the targets, `after`, in ascending order.  Positions are
     slices into the previous row's and this row's stored layers.
+    `candidates[t]` lists the (kind, source layer, source position) that
+    write layer t, in pass order.
     """
 
     passes: tuple[tuple[int, int, tuple[int, ...], slice, slice], ...]
     after: tuple[int, ...]
+    candidates: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 @functools.cache
@@ -192,7 +203,11 @@ def _row_plan(
          _as_slice([kept.index(s | bit) for s in layers]))
         for kind, bit, layers in groups
     )
-    return _RowPlan(passes, kept)
+    candidates = [[] for _ in range(4)]
+    for kind, bit, layers in groups:
+        for s in layers:
+            candidates[s | bit].append((kind, s, sources.index(s)))
+    return _RowPlan(passes, kept, tuple(map(tuple, candidates)))
 
 
 class DifferenceTable:
@@ -217,20 +232,45 @@ class DifferenceTable:
     earlier row could set and later rows can complete.  The fill touches
     nothing else.  It works in one store of sums (see _sum_dtype) allocated
     once per table: each row is a (live layers, band) block of it, written
-    in place, and a (4, final band) scratch takes the near-shifted sources.
-    Per row it runs the row's passes (see _RowPlan): a copy for the carry,
-    a maximum into the row's block for a far pass, and an add into the
-    scratch and a maximum for a near pass.
+    in place, and a (4, widest band) scratch takes the near-shifted sources.
+    Per row it runs the row's passes (see _RowPlan), each clamped to the
+    row's band and skipped when empty: a copy for the carry, a maximum into
+    the row's block for a far pass, and an add into the scratch and a
+    maximum for a near pass.
+
+    `window=W` keeps only the cells that can still reach a final difference
+    in [-W, W]: row i keeps [offset - W - nsuf_i, offset + W + fsuf_i] of its
+    band, nsuf_i and fsuf_i summing the near and far weights of the later
+    rows whose near or far pass runs.  Cells outside a window read as
+    unoccupied, in every row.  The window is applied only when the full
+    layout stores at least _CLIP_MIN_CELLS cells, below which clipping
+    costs more than it saves.  It is exact for the answer when W comes
+    from a pair the table represents (see _greedy_pair), because:
+
+    1. every predecessor of a kept cell is kept (a carry keeps the column,
+       and a row's far or near pass moves it by the weight it adds to
+       fsuf or nsuf), so kept cells hold the full table's sums and
+       backtracking replays the full table's candidates;
+    2. the greedy pair is one the DP represents: near weights <= v
+       including a pivot-valued one, a heavy far weight, disjoint bases;
+    3. its ratio hi/lo <= 2 keeps its far sum <= 2*cap, so every far pass
+       it uses runs and none of its partial differences leaves [-2*cap, cap];
+    4. so the best cell has ratio <= hi/lo, and as a cell's ratio is at
+       least 1 + |d|/cap (its smaller sum is at most cap), every cell that
+       good, ties included, has |d| <= W = floor((hi - lo) * cap / lo).
+       best_cell, its tie rule and the heavy-singleton comparison see
+       what they see in the full table.
 
     Backtracking replays the sequential larger-total rule instead of
     storing decisions.  At row r, layer t, column c with near sum S it
-    walks row r's passes in order and takes the first source s with
-    s | bit == t whose sum in row r-1, at the column the pass moves to c,
-    plus the near weight the pass adds equals S.  The counter gets
-    the cells actually touched.  The memory a table needs is predicted
-    from the bands and live sets before anything is allocated, and a
-    table over MAX_TABLE_BYTES is refused; the scratch alone bounds an
-    admitted table's cap at 134,217,727.
+    walks the candidates of row r's plan for layer t, in pass order, and
+    takes the first source s whose sum in row r-1, at the column the pass
+    moves to c, plus the near weight the pass adds equals S.  The counter
+    gets the cells actually touched.  The memory a table needs is
+    predicted from the full bands and live sets before anything is
+    allocated, window or not, and a table over MAX_TABLE_BYTES is refused;
+    the scratch of a full table alone bounds an admitted table's cap at
+    134,217,727.
     """
 
     def __init__(
@@ -240,9 +280,13 @@ class DifferenceTable:
         near: int,
         pivot_weight: int,
         counter: OpCounter | None = None,
+        *,
+        window: int | None = None,
     ):
         if pivot_weight < 1:
             raise ValueError("pivot weight must be >= 1")
+        if window is not None and window < 0:
+            raise ValueError("window must be >= 0")
         self.weights = tuple(weights)
         self.n = n
         self.near = near
@@ -260,6 +304,8 @@ class DifferenceTable:
             raise ValueError(
                 f"difference table needs {need} bytes, over the {MAX_TABLE_BYTES}-byte limit"
             )
+        if window is not None and sum(layout[1]) >= _CLIP_MIN_CELLS:
+            layout = self._clipped(layout, window)
         self._rows, sizes = layout
         self._fill(sizes, counter)
 
@@ -271,33 +317,49 @@ class DifferenceTable:
         # later[i]: the flag bits rows after row i can still set; a layer s
         # of row i can reach the answer layer 3 only while s | later[i] == 3
         later = [0] * (self.n + 1)
-        for i in range(self.n, 0, -1):
-            later[i - 1] = later[i] | 2 * (near_ws[i - 1] == v) | (far_ws[i - 1] >= v)
+        bits = 0
+        for i in range(self.n - 1, -1, -1):
+            bits |= 2 * (near_ws[i] == v) | (far_ws[i] >= v)
+            later[i] = bits
         lo = hi = self.offset
-        live = (0,) if later[0] == 3 else ()
+        live = (0,) if bits == 3 else ()
         rows = [(lo, hi, live, None)]
         sizes = [len(live)]
-        for i, (near_w, far_w) in enumerate(zip(near_ws, far_ws), 1):
-            lo0, hi0 = lo, hi
-            near_on = 0 < near_w <= v
-            if near_on:
-                hi += near_w
+        for near_w, far_w, bits in zip(near_ws, far_ws, later[1:]):
             # far-set extension: difference shifts down by far_w; writes below
             # -2*cap fall off the window (they cannot belong to an optimal
             # pair of this regime).  It is the only pass that writes below
-            # lo0, so lo moves only when it runs
-            far_on = 0 < far_w <= hi0
-            if far_on:
-                lo = max(0, lo0 - far_w)
-            plan = _row_plan(
-                live,
-                int(far_w >= v) if far_on else None,
-                2 * (near_w == v) if near_on else None,
-                later[i],
-            )
+            # the previous lo, so lo moves only when it runs
+            far_bit = near_bit = None
+            if 0 < far_w <= hi:
+                lo = max(0, lo - far_w)
+                far_bit = int(far_w >= v)
+            if 0 < near_w <= v:
+                hi += near_w
+                near_bit = 2 * (near_w == v)
+            plan = _row_plan(live, far_bit, near_bit, bits)
             live = plan.after
             rows.append((lo, hi, live, plan))
             sizes.append(len(live) * (hi - lo + 1))
+        return rows, sizes
+
+    def _clipped(self, layout: tuple[list, list[int]], window: int) -> tuple[list, list[int]]:
+        """The layout with each row's band cut to the columns that can still
+        reach a final difference in [-window, window]."""
+        rows, sizes = layout
+        rows, sizes = rows[:], sizes[:]
+        v = self.pivot_weight
+        low, high = self.offset - window, self.offset + window
+        for i in range(self.n, 0, -1):
+            lo, hi, live, plan = rows[i]
+            lo, hi = (lo if lo > low else low), (hi if hi < high else high)
+            rows[i] = lo, hi, live, plan
+            sizes[i] = len(live) * (hi - lo + 1)
+            near_w, far_w = self.near_weights[i - 1], self.far_weights[i - 1]
+            if 0 < near_w <= v:  # the row's near pass runs
+                low -= near_w
+            if 0 < far_w <= rows[i - 1][1]:  # its far pass runs
+                high += far_w
         return rows, sizes
 
     def _predicted_bytes(self, layout: tuple[list, list[int]]) -> int:
@@ -310,34 +372,42 @@ class DifferenceTable:
         rows = self._rows
         dtype = _sum_dtype(self.cap)
         store = np.full(sum(sizes), np.iinfo(dtype).min, dtype=dtype)
-        z = np.empty((4, rows[-1][1] - rows[-1][0] + 1), dtype=dtype)
-        blocks = []
-        start = 0
-        for (lo, hi, _, _), size in zip(rows, sizes):
-            blocks.append(store[start:start + size].reshape(-1, hi - lo + 1))
-            start += size
-        blocks[0][:, 0] = 0  # the empty pair, if kept
+        # a clipped final row need not be the widest
+        z = np.empty((4, max([hi - lo for lo, hi, _, _ in rows]) + 1), dtype=dtype)
+        maximum, add = np.maximum, np.add
+        lo0, hi0, _, _ = rows[0]
+        x = store[:sizes[0]].reshape(-1, 1)
+        x[:, 0] = 0  # the empty pair, if kept
+        blocks = [x]
+        start = sizes[0]
         ops = 0
-        for i, (near_w, far_w) in enumerate(zip(self.near_weights, self.far_weights), 1):
-            lo0, hi0 = rows[i - 1][:2]
-            lo, hi, _, plan = rows[i]
-            x, y = blocks[i - 1], blocks[i]
-            shifts = (0, -far_w, near_w)
+        for (lo, hi, _, plan), size, near_w, far_w in zip(
+            rows[1:], sizes[1:], self.near_weights, self.far_weights
+        ):
+            y = store[start:start + size].reshape(-1, hi - lo + 1)
+            start += size
+            blocks.append(y)
             for kind, _, layers, src, tgt in plan.passes:
-                shift = shifts[kind]
-                first = max(lo0 + shift, lo)  # far writes below lo fall off the window
-                dest = y[tgt, first - lo:hi0 + shift - lo + 1]
-                sums = x[src, first - shift - lo0:]
+                # the pass moves column c of row i - 1 to column c + shift,
+                # clamped to both rows' bands; far writes below lo fall off
+                # the window
+                shift = 0 if kind == _CARRY else near_w if kind == _NEAR else -far_w
+                first = lo0 + shift if lo0 + shift > lo else lo
+                stop = hi0 + shift + 1 if hi0 + shift < hi else hi + 1
+                if first >= stop:
+                    continue
+                dest = y[tgt, first - lo:stop - lo]
+                sums = x[src, first - shift - lo0:stop - shift - lo0]
                 if kind == _CARRY:
                     dest[...] = sums
                 else:
                     if kind == _NEAR:
-                        sums = np.add(sums, near_w, out=z[:len(layers), :sums.shape[1]])
-                    np.maximum(dest, sums, out=dest)
-                ops += len(layers) * dest.shape[1]
+                        sums = add(sums, near_w, out=z[:len(layers), :stop - first])
+                    maximum(dest, sums, out=dest)
+                ops += len(layers) * (stop - first)
+            x, lo0, hi0 = y, lo, hi
         self._blocks = blocks
-        lo, hi = rows[-1][:2]
-        ops += hi - lo + 1  # final scan
+        ops += hi0 - lo0 + 1  # final scan
         if counter is not None:
             counter.add(ops)
 
@@ -361,8 +431,9 @@ class DifferenceTable:
         """Whether the table keeps a pair at this cell.
 
         A cell whose flags no later row can complete to both flags reads
-        unoccupied even when some pair reaches it; in the final row only
-        the both-flags layer can be occupied.
+        unoccupied even when some pair reaches it, and so does a cell a
+        window cut off; in the final row only the both-flags layer can be
+        occupied.
         """
         col = self._column(diff)
         if not 0 <= row <= self.n:
@@ -393,13 +464,12 @@ class DifferenceTable:
             raise ValueError("cannot reconstruct an unoccupied cell")
         s1: set[int] = set()
         s2: set[int] = set()
-        while r > 0:
+        for r in range(r, 0, -1):
             kind, t, c, near_sum = self._kept_candidate(r, t, c, near_sum)
             if kind == _NEAR:
                 s1.add(r + self.near)
             elif kind == _FAR:
                 s2.add(r + self.far)
-            r -= 1
         if t != 0 or c != self.offset:
             raise AssertionError("backtracking did not end at the empty pair")
         self._check_discipline(s1, s2, diff)
@@ -411,37 +481,35 @@ class DifferenceTable:
         row r its near sum."""
         lo, hi, _, _ = self._rows[r - 1]
         x = self._blocks[r - 1]
-        near_w = self.near_weights[r - 1]
-        shifts = (0, -self.far_weights[r - 1], near_w)
-        for kind, bit, layers, src, _ in self._rows[r][3].passes:
-            col = c - shifts[kind]
-            # the source's near sum; a negative one could only match an empty cell
-            want = near_sum - near_w if kind == _NEAR else near_sum
-            if want < 0 or not lo <= col <= hi:
-                continue
-            for j, s in enumerate(layers):
-                if s | bit == t and int(x[src.start + j * src.step, col - lo]) == want:
-                    return kind, s, col, want
+        near_w, far_w = self.near_weights[r - 1], self.far_weights[r - 1]
+        for kind, s, pos in self._rows[r][3].candidates[t]:
+            if kind == _NEAR:
+                col, want = c - near_w, near_sum - near_w
+            else:
+                col, want = c + far_w if kind == _FAR else c, near_sum
+            # a negative near sum could only match an empty cell
+            if want >= 0 and lo <= col <= hi and x.item(pos, col - lo) == want:
+                return kind, s, col, want
         raise AssertionError("backtracking found no candidate for a stored sum")
 
     def _check_discipline(self, s1: set[int], s2: set[int], diff: int) -> None:
-        v = self.pivot_weight
-        lo1, lo2 = self.near + 1, self.far + 1
-        if not all(lo1 <= i <= self.near + self.n for i in s1):
+        v, n = self.pivot_weight, self.n
+        if not all(self.near < i <= self.near + n for i in s1):
             raise AssertionError("near set left its side")
-        if not all(lo2 <= j <= self.far + self.n for j in s2):
+        if not all(self.far < j <= self.far + n for j in s2):
             raise AssertionError("far set left its side")
-        if {(i - 1) % self.n for i in s1} & {(j - 1) % self.n for j in s2}:
+        if {(i - 1) % n for i in s1} & {(j - 1) % n for j in s2}:
             raise AssertionError("a pair contributed to both sets")
-        sum1 = sum(self.weights[i - 1] for i in s1)
-        sum2 = sum(self.weights[j - 1] for j in s2)
+        near_ws = [self.weights[i - 1] for i in s1]
+        far_ws = [self.weights[j - 1] for j in s2]
+        sum1, sum2 = sum(near_ws), sum(far_ws)
         if sum1 - sum2 != diff:
             raise AssertionError("reconstructed sums do not match the difference axis")
-        if any(self.weights[i - 1] > v for i in s1):
+        if near_ws and max(near_ws) > v:
             raise AssertionError("near set holds an element above the pivot weight")
-        if not any(self.weights[i - 1] == v for i in s1):
+        if v not in near_ws:
             raise AssertionError("near set holds no pivot-valued element")
-        if not any(self.weights[j - 1] >= v for j in s2):
+        if not far_ws or max(far_ws) < v:
             raise AssertionError("far set holds no heavy element")
         if sum1 + sum2 != self.total(diff):
             raise AssertionError("reconstructed total does not match the stored cell")
@@ -488,15 +556,61 @@ class DifferenceTable:
 # ---------------------------------------------------------------------------
 
 
+def _greedy_pair(
+    weights: Sequence[int], n: int, near: int, pivot_weight: int
+) -> tuple[int, int, tuple[frozenset[int], frozenset[int]]]:
+    """One pair of the side search, built greedily in O(n), as (larger sum,
+    smaller sum, sets); _NO_PAIR when it finds none.
+
+    It starts from the first pivot-valued near element and the lightest
+    heavy far element on another base (the first of equals), then walks
+    the other bases in index order: each joins the lighter side, the near
+    side only with a weight <= the pivot weight, when that does not widen
+    the difference.  The pair is one DifferenceTable represents whenever
+    its ratio is at most 2 (see DifferenceTable, window).
+    """
+    v, far = pivot_weight, n - near
+    near_ws, far_ws = weights[near:near + n], weights[far:far + n]
+    j = near_ws.index(v)
+    heavy = [(w, i) for i, w in enumerate(far_ws) if w >= v and i != j]
+    if not heavy:
+        return _NO_PAIR
+    b, k = min(heavy)
+    a = v
+    s1, s2 = [j], [k]
+    for i, (near_w, far_w) in enumerate(zip(near_ws, far_ws)):
+        if a == b:
+            break  # every base would widen the difference
+        if i == j or i == k:
+            continue
+        if a < b and 0 < near_w <= min(v, 2 * (b - a)):
+            a += near_w
+            s1.append(i)
+        elif b < a and 0 < far_w <= 2 * (a - b):
+            b += far_w
+            s2.append(i)
+    sets = frozenset(i + near + 1 for i in s1), frozenset(i + far + 1 for i in s2)
+    return max(a, b), min(a, b), sets
+
+
 def _solve_one_side(
     weights: Sequence[int], n: int, near: int, pivot_weight: int, counter: OpCounter | None
 ) -> tuple[int, int, tuple[frozenset[int], frozenset[int]]]:
     """Exact optimum among solutions whose pivot-valued set lies on `near`,
-    as (larger sum, smaller sum, sets)."""
+    as (larger sum, smaller sum, sets).  A greedy pair of ratio at most 2
+    bounds the table's window (see DifferenceTable)."""
     far = n - near
     if pivot_weight not in weights[near:near + n] or max(weights[far:far + n]) < pivot_weight:
         return _NO_PAIR
-    table = DifferenceTable(weights, n, near, pivot_weight, counter)
+    cap = sum(w for w in weights[near:near + n] if w <= pivot_weight)
+    window = None
+    # n + 1 rows of 4 layers and 3 * cap + 1 columns bound what a table
+    # stores; below the clipping gate the greedy pair would go unused
+    if 4 * (n + 1) * (3 * cap + 1) >= _CLIP_MIN_CELLS:
+        hi, lo, _ = _greedy_pair(weights, n, near, pivot_weight)
+        if hi <= 2 * lo:
+            window = (hi - lo) * cap // lo
+    table = DifferenceTable(weights, n, near, pivot_weight, counter, window=window)
     singleton = _heavy_singleton(table, counter)
     best = table.best_cell()
     if best is not None:
@@ -524,8 +638,8 @@ def exact_solver(
 
     `memo`, one dict for any calls, stores each side's answer under the
     weights as a tuple, then (near side, pivot weight): all a search reads,
-    so a repeated side costs no cells.  Weights are validated first, as
-    (True, 1) == (1, 1).  When weights[:n] == weights[n:], a side whose twin
+    so a repeated side costs no cells.  Weights are validated first, in one
+    pass over their types (plain ints only), as (True, 1) == (1, 1).  When weights[:n] == weights[n:], a side whose twin
     (the other near side, same pivot weight) is in the memo takes the twin's
     answer with every index shifted by n, at no cells.  The pivot's side
     stands unless the other is strictly better.
@@ -535,9 +649,8 @@ def exact_solver(
     n = len(weights) // 2
     if not 1 <= m <= 2 * n:
         raise ValueError(f"pivot {m} out of range 1..{2 * n}")
-    for w in weights:
-        if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-            raise ValueError("weights must be integers >= 0")
+    if not {int}.issuperset(map(type, weights)) or min(weights) < 0:
+        raise ValueError("weights must be integers >= 0")
     pivot_weight = weights[m - 1]
     if pivot_weight < 1:
         raise ValueError("pivot weight must be >= 1")

@@ -101,6 +101,24 @@ class TestScaleInstance:
                 zeros += scaled.count(0)
         assert zeros > 0
 
+    def test_common_numerators_scale_like_the_weights(self):
+        # the driver scales the weights' integer numerators over their common
+        # denominator; one factor on every weight leaves each pivot's floors
+        rng = random.Random(31)
+        for _ in range(40):
+            count = 2 * rng.randint(1, 6)
+            weights = [Fraction(rng.randint(1, 10**4), rng.randint(1, 30)) for _ in range(count)]
+            lcm = math.lcm(*(w.denominator for w in weights))
+            numerators = [w.numerator * (lcm // w.denominator) for w in weights]
+            eps = Fraction(rng.randint(1, 99), 100)
+            for m in range(1, count + 1):
+                scaled = scale_instance(numerators, m, eps)
+                assert scaled == scale_instance(weights, m, eps), (weights, m, eps)
+                assert scaled == scale_instance([str(w) for w in weights], m, eps)
+        # an int weight skips parsing, a bool still does not pass for one
+        with pytest.raises(ValueError, match="not a rational value"):
+            scale_instance([True, 2], 1, Fraction(1, 2))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             scale_instance([1, 2], 1, 1)
@@ -255,9 +273,9 @@ class TestSideCache:
         built = []
 
         class Recording(semi_restricted.DifferenceTable):
-            def __init__(self, weights, n, near, pivot_weight, counter=None):
+            def __init__(self, weights, n, near, pivot_weight, counter=None, *, window=None):
                 built.append((tuple(weights), near, pivot_weight))
-                super().__init__(weights, n, near, pivot_weight, counter)
+                super().__init__(weights, n, near, pivot_weight, counter, window=window)
 
         monkeypatch.setattr(semi_restricted, "DifferenceTable", Recording)
         eps = Fraction(1, 4)
@@ -289,9 +307,9 @@ class TestSideCache:
         built = []
 
         class Recording(semi_restricted.DifferenceTable):
-            def __init__(self, weights, n, near, pivot_weight, counter=None):
+            def __init__(self, weights, n, near, pivot_weight, counter=None, *, window=None):
                 built.append((tuple(weights), near, pivot_weight))
-                super().__init__(weights, n, near, pivot_weight, counter)
+                super().__init__(weights, n, near, pivot_weight, counter, window=window)
 
         monkeypatch.setattr(semi_restricted, "DifferenceTable", Recording)
         inst = encode_factor_r_weights([46, 24, 44, 37], Fraction(5, 4))

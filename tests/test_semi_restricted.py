@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +22,20 @@ from ssratio import (
     TwoSetInstance,
     brute_force_semi_restricted,
     check_feasible_semi_restricted,
+    encode_factor_r_weights,
+    encode_ssr_weights,
     exact_solver,
     scale_instance,
+    semi_restricted,
     semi_restricted_optima_by_value,
 )
 from ssratio.semi_restricted import (
     MAX_TABLE_BYTES,
     _CARRY,
+    _CLIP_MIN_CELLS,
     _FAR,
     _NEAR,
+    _greedy_pair,
     _heavy_singleton,
     _row_plan,
     _solve_one_side,
@@ -774,6 +780,18 @@ class TestPackedKernel:
                     sources = [s for s, target in moves[kind] if target == t]
                     assert sources == sorted(sources), where + (t,)
 
+    def test_candidates_follow_pass_order(self):
+        # backtracking's candidates: per target layer, the passes' sources in
+        # pass order, with their positions in the previous row's layers
+        for live, far_bit, near_bit, later in product(
+            LIVE_SETS, (None, 0, 1), (None, 0, 2), range(4)
+        ):
+            plan = _row_plan(live, far_bit, near_bit, later)
+            for t in range(4):
+                want = [(kind, s, live.index(s)) for kind, bit, layers, _, _ in plan.passes
+                        for s in layers if s | bit == t]
+                assert list(plan.candidates[t]) == want, (live, far_bit, near_bit, later, t)
+
     def test_import_builds_no_plan(self):
         # row plans are built on first use, not when the CLI is imported
         code = (
@@ -815,6 +833,214 @@ class TestPackedKernel:
             allocated.clear()
             table = DifferenceTable(weights, n, 0, weights[0])
             assert sum(allocated) == table._predicted_bytes(table._bands()), pairs
+
+
+def workload_sides(seed):
+    """Side searches of seeded instances at the benchmark's shapes and of
+    the hard ssr families, scaled at epsilon 1/4: (weights, n, near, pivot
+    weight) for sides a solve builds a table for."""
+    rng = random.Random(seed)
+    weights = [
+        # two-set n=32, weights <= 50; ssr and factor-r (r = 3/2) n=24, <= 1000
+        flat(random_pairs(rng, 32, 50)),
+        encode_ssr_weights([rng.randint(1, 1000) for _ in range(24)]).weights,
+        encode_factor_r_weights([rng.randint(1, 1000) for _ in range(24)], Fraction(3, 2)).weights,
+    ]
+    for base, n in ((3, 40), (3, 24), (Fraction(5, 2), 24), (2, 20)):
+        family = [math.ceil(Fraction(base) ** k) for k in range(n)]
+        rng.shuffle(family)
+        weights.append(encode_ssr_weights(family).weights)
+    for original in weights:
+        n = len(original) // 2
+        for m in rng.sample(range(1, 2 * n + 1), 3):
+            scaled = scale_instance(original, m, Fraction(1, 4))
+            v = scaled[m - 1]
+            for near in (0, n):
+                far = n - near
+                if v in scaled[near:near + n] and max(scaled[far:far + n]) >= v:
+                    yield scaled, n, near, v
+
+
+def greedy_window(weights, n, near, v):
+    """The window _solve_one_side gives a side's table, or None."""
+    hi, lo, _ = _greedy_pair(weights, n, near, v)
+    if not hi <= 2 * lo:
+        return None
+    cap = sum(w for w in weights[near:near + n] if w <= v)
+    return (hi - lo) * cap // lo
+
+
+def side_by_rule(table):
+    """_solve_one_side's answer, read from a given table."""
+    single = _heavy_singleton(table)
+    best = table.best_cell()
+    if best is not None:
+        diff, total = best
+        hi, lo = (total + abs(diff)) // 2, (total - abs(diff)) // 2
+        if single[0] * lo >= hi * single[1]:
+            return hi, lo, table.reconstruct(diff)
+    return single
+
+
+def assert_kept_cells_match(clipped, full, where):
+    """Every row of a clipped table keeps a sub-band of the full table's
+    band, the same layers, and the full table's sums there."""
+    for row, ((lo, hi, live, _), (lo_f, hi_f, live_f, _)) in enumerate(zip(clipped._rows, full._rows)):
+        assert lo_f <= lo <= hi <= hi_f and live == live_f, where + (row,)
+        kept = full._blocks[row][:, lo - lo_f:hi - lo_f + 1]
+        assert (clipped._blocks[row] == kept).all(), where + (row,)
+
+
+class TestWindow:
+    def test_clipped_tables_give_the_full_answer(self, monkeypatch):
+        # every window, also under the gate: the same best cell, pair and
+        # side answer as the full table, and the full table's sums in every
+        # kept cell, on the benchmark's shapes and the hard ssr families
+        monkeypatch.setattr(semi_restricted, "_CLIP_MIN_CELLS", 0)
+        clipped_cells = full_cells = windows = 0
+        for weights, n, near, v in chain(workload_sides(11), workload_sides(12)):
+            where = (weights, near, v)
+            window = greedy_window(weights, n, near, v)
+            full_counter, counter = OpCounter(), OpCounter()
+            full = DifferenceTable(weights, n, near, v, full_counter)
+            clipped = DifferenceTable(weights, n, near, v, counter, window=window)
+            assert clipped.best_cell() == full.best_cell(), where
+            answer = side_by_rule(full)
+            assert side_by_rule(clipped) == answer, where
+            assert _solve_one_side(weights, n, near, v, None) == answer, where
+            assert_kept_cells_match(clipped, full, where)
+            full_cells += full_counter.cells
+            clipped_cells += counter.cells
+            windows += window is not None
+        assert windows > 50 and clipped_cells < full_cells / 2, (windows, clipped_cells, full_cells)
+
+    def test_side_searches_clip_what_the_gate_admits(self):
+        # a side search counts the cells of its table under the greedy
+        # window, plus the heavy-singleton scan: it skips the greedy pair
+        # only for tables the gate would not clip anyway
+        clipped = 0
+        for weights, n, near, v in chain(workload_sides(14), TestPackedKernel().instances()):
+            if max(weights[n - near:2 * n - near]) < v:
+                continue  # no heavy far element: no table
+            counter, want = OpCounter(), OpCounter()
+            _solve_one_side(weights, n, near, v, counter)
+            table = DifferenceTable(weights, n, near, v, want, window=greedy_window(weights, n, near, v))
+            _heavy_singleton(table, want)
+            assert counter.cells == want.cells, (weights, near, v)
+            clipped += table._rows != DifferenceTable(weights, n, near, v)._rows
+        assert clipped > 10
+
+    def test_clipped_small_tables_match_the_full_table(self, monkeypatch):
+        # seeded small tables, every window from 0 up to the greedy one: each
+        # kept cell holds the full table's sum, and at or above the greedy
+        # window the answer is the full table's
+        monkeypatch.setattr(semi_restricted, "_CLIP_MIN_CELLS", 0)
+        rng = random.Random(0x3D0E)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            weights = tuple(rng.choice((0, 1, 2, 3, 5, 8, 13, 20)) for _ in range(2 * n))
+            near = rng.choice((0, n))
+            values = [w for w in weights[near:near + n] if w >= 1]
+            if not values:
+                continue
+            v = rng.choice(values)
+            full = DifferenceTable(weights, n, near, v)
+            greedy = greedy_window(weights, n, near, v)
+            for window in range(0, (greedy or 3) + 2):
+                clipped = DifferenceTable(weights, n, near, v, window=window)
+                assert_kept_cells_match(clipped, full, (weights, near, v, window))
+                if greedy is not None and window >= greedy:
+                    assert side_by_rule(clipped) == side_by_rule(full), (weights, near, v, window)
+                checked += 1
+        assert checked > 500
+
+    def test_greedy_pair_is_a_pair_of_its_side(self):
+        # the greedy pair is feasible for its side search (near weights <=
+        # v with a pivot-valued one, a heavy far weight, disjoint bases) and
+        # with ratio <= 2 the table holds it, so the best cell, and every
+        # cell as good, lies inside its window
+        rng = random.Random(0x9EED)
+        seen = {"window": 0, "wide": 0, "none": 0}
+        for _ in range(1500):
+            n = rng.randint(1, 6)
+            weights = tuple(rng.randint(0, 12) for _ in range(2 * n))
+            near, far = rng.choice(((0, n), (n, 0)))
+            values = [w for w in weights[near:near + n] if w >= 1]
+            if not values or max(weights[far:far + n]) < min(values):
+                continue
+            v = rng.choice([w for w in values if w <= max(weights[far:far + n])])
+            hi, lo, (s1, s2) = _greedy_pair(weights, n, near, v)
+            where = (weights, near, v)
+            if not s1:
+                assert (hi, lo) == (1, 0), where
+                # only when the only heavy far elements share the base of
+                # the first pivot-valued near element
+                j = weights[near:near + n].index(v)
+                assert [i for i in range(n) if weights[far + i] >= v] == [j], where
+                seen["none"] += 1
+                continue
+            assert all(near < i <= near + n and weights[i - 1] <= v for i in s1), where
+            assert v in [weights[i - 1] for i in s1], where
+            assert all(far < j <= far + n for j in s2), where
+            assert max(weights[j - 1] for j in s2) >= v, where
+            assert not {(i - 1) % n for i in s1} & {(j - 1) % n for j in s2}, where
+            assert sorted(resummed(weights, (s1, s2))) == [lo, hi], where
+            if hi > 2 * lo:
+                seen["wide"] += 1
+                continue
+            seen["window"] += 1
+            table = DifferenceTable(weights, n, near, v)
+            diff = sum(weights[i - 1] for i in s1) - sum(weights[j - 1] for j in s2)
+            assert table.total(diff) is not None and table.total(diff) >= hi + lo, where
+            window = greedy_window(weights, n, near, v)
+            best = table.best_cell()
+            assert abs(best[0]) <= window, where
+            for col in range(table.width):
+                d = col - table.offset
+                total = table.total(d)
+                if total is not None and Fraction(total + abs(d), total - abs(d)) <= Fraction(hi, lo):
+                    assert abs(d) <= window, where + (d,)
+        assert all(count > 20 for count in seen.values()), seen
+
+    def test_window_reaching_the_best_difference(self, monkeypatch):
+        # near (1, 2), far (3, 2), pivot weight 2: the greedy pair {2} | {3}
+        # is the only pair, at d = -1, and its window is floor(1 * 3 / 2) = 1,
+        # exactly |d|; the far weight 3 is no heavy singleton (cap 3)
+        monkeypatch.setattr(semi_restricted, "_CLIP_MIN_CELLS", 0)
+        weights = (1, 2, 3, 2)
+        assert greedy_window(weights, 2, 0, 2) == 1
+        assert DifferenceTable(weights, 2, 0, 2).best_cell() == (-1, 5)
+        assert _solve_one_side(weights, 2, 0, 2, None) == (3, 2, (frozenset({2}), frozenset({3})))
+
+    def test_tables_under_the_gate_keep_their_bands(self):
+        rng = random.Random(0x6A7E)
+        small = large = 0
+        for _ in range(40):
+            pairs = random_pairs(rng, rng.randint(1, 8), 40)
+            weights, n = flat(pairs), len(pairs)
+            full_counter, counter = OpCounter(), OpCounter()
+            full = DifferenceTable(weights, n, 0, weights[0], full_counter)
+            windowed = DifferenceTable(weights, n, 0, weights[0], counter, window=0)
+            assert sum(full._bands()[1]) < _CLIP_MIN_CELLS
+            assert windowed._rows == full._rows and counter.cells == full_counter.cells
+            small += 1
+        # and one above it is clipped
+        for weights, n, near, v in workload_sides(13):
+            full = DifferenceTable(weights, n, near, v)
+            if sum(full._bands()[1]) >= _CLIP_MIN_CELLS:
+                clipped = DifferenceTable(weights, n, near, v, window=0)
+                assert clipped._rows != full._rows
+                large += 1
+                break
+        assert small and large
+
+    def test_a_window_does_not_admit_a_refused_table(self):
+        # the byte limit is read from the full layout, window or not
+        scaled = scale_instance(flat([(1, 5), (5, 5), (5, 5)]), 1, Fraction(1, 10**7))
+        for window in (None, 0):
+            with pytest.raises(ValueError, match="bytes, over the"):
+                DifferenceTable(scaled, 3, 0, scaled[0], window=window)
 
 
 class TestRegimesAgree:
