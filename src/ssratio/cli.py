@@ -1,4 +1,4 @@
-"""Command-line interface: solve, oracle, bench, check.
+"""Command-line interface: solve, oracle, check.
 
 Instance and solution files are JSON with exact rational strings ("p/q"
 or decimal); plain JSON numbers are accepted and parsed exactly as
@@ -16,12 +16,9 @@ that.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
-import random
 import sys
 import time
 from fractions import Fraction
@@ -29,7 +26,7 @@ from typing import Any, Sequence
 
 from .core import SolutionPair, TwoSetInstance, check_feasible_semi_restricted, parse_rational
 from . import oracle as oracle_mod
-from .fptas import ApproxResult, fptas_solve
+from .fptas import fptas_solve
 from .reductions import decode, encode_factor_r_weights, encode_ssr_weights
 
 FORMAT_VERSION = 1
@@ -220,20 +217,15 @@ def _parse_epsilon(raw: str) -> Fraction:
     return eps
 
 
-def _solve(encoded: TwoSetInstance, eps: Fraction, collect_log: bool = False) -> ApproxResult:
-    """fptas_solve; a table too large to build (a tiny epsilon) becomes a CliError."""
-    try:
-        return fptas_solve(encoded, eps, collect_log=collect_log)
-    except ValueError as exc:
-        raise CliError(f"cannot solve at epsilon {eps}: {exc}") from exc
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     eps = _parse_epsilon(args.epsilon)
     encoded = _encode(instance)
     started = time.perf_counter()
-    result = _solve(encoded, eps, collect_log=args.trace)
+    try:
+        result = fptas_solve(encoded, eps, collect_log=args.trace)
+    except ValueError as exc:  # a table too large to build (a tiny epsilon)
+        raise CliError(f"cannot solve at epsilon {eps}: {exc}") from exc
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     stats: dict[str, Any] = {
         "pivots_evaluated": result.pivots_evaluated,
@@ -285,75 +277,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     doc = build_solution_doc(instance, sol, "oracle", status, pivot_m=args.m)
     _emit(doc, args.output)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def random_two_set(n: int, seed: int, trial: int, weight_max: int) -> TwoSetInstance:
-    """Seeded uniform-integer instance: weights in [1, weight_max]."""
-    rng = random.Random(f"{seed}:{n}:{trial}")
-    pairs = [(rng.randint(1, weight_max), rng.randint(1, weight_max)) for _ in range(n)]
-    return TwoSetInstance.from_pairs(pairs)
-
-
-def _int_list(raw: str, what: str) -> list[int]:
-    try:
-        values = [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError as exc:
-        raise CliError(f"bad {what} list: {raw!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise CliError(f"bad {what} list: {raw!r}")
-    return values
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = _int_list(args.sizes, "sizes")
-    epsilons = [_parse_epsilon(part) for part in args.epsilons.split(",") if part.strip()]
-    if not epsilons:
-        raise CliError(f"bad epsilons list: {args.epsilons!r}")
-    for flag, value, least in (("--trials", args.trials, 1), ("--weight-max", args.weight_max, 1),
-                               ("--oracle-cap", args.oracle_cap, 0)):
-        if value < least:
-            raise CliError(f"{flag} must be at least {least}, got {value}")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["n", "epsilon", "trial", "optimum", "fptas_value", "ratio_to_optimum",
-         "dp_cell_ops", "wall_time_ms"]
-    )
-    for n in sizes:
-        for trial in range(args.trials):
-            inst = random_two_set(n, args.seed, trial, args.weight_max)
-            optimum = None
-            if n <= args.oracle_cap:
-                optimum = oracle_mod.brute_force_two_set(inst, max_n=args.oracle_cap).optimum
-            for eps in epsilons:
-                started = time.perf_counter()
-                result = _solve(inst, eps)
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                ratio_to_opt = ""
-                opt_str = ""
-                if optimum is not None:
-                    opt_str = str(optimum)
-                    if optimum != math.inf and result.feasible:
-                        ratio_to_opt = repr(float(result.value / optimum))
-                writer.writerow(
-                    [n, str(eps), trial, opt_str, str(result.value), ratio_to_opt,
-                     result.dp_cell_ops, repr(elapsed_ms)]
-                )
-    text = buf.getvalue()
-    if args.csv is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write CSV file: {exc}") from exc
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--max-n", type=int, default=oracle_mod.DEFAULT_SIZE_CAP,
                           help="size cap for the enumeration")
     p_oracle.set_defaults(func=cmd_oracle)
-
-    p_bench = sub.add_parser("bench", help="seeded random benchmark, CSV report")
-    p_bench.add_argument("--sizes", default="4,6,8", help="comma list of pair counts")
-    p_bench.add_argument("--epsilons", default="0.5", help="comma list of epsilons")
-    p_bench.add_argument("--trials", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--csv", default=None, help="CSV path (default: stdout)")
-    p_bench.add_argument("--weight-max", type=int, default=50, help="uniform weight bound")
-    p_bench.add_argument("--oracle-cap", type=int, default=oracle_mod.DEFAULT_SIZE_CAP,
-                         help="run the oracle when n is at most this")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_check = sub.add_parser("check", help="validate a solution file against an instance")
     p_check.add_argument("instance", help="instance JSON path")

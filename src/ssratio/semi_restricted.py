@@ -49,10 +49,9 @@ and mirrors its result into the other.
 integer weight list and a 1-based pivot, runs both regimes per side and
 returns the better pair as two index frozensets.  Wrap them with
 ``SolutionPair.from_sets(weights, s1, s2)`` for sums and the objective.
-A ``DifferenceTable`` can also be built and read on its own:
-``occupied`` for any kept cell, and ``total``, ``best_cell`` and
-``reconstruct`` for the final row's both-flags layer, the only layer the
-final row keeps.
+A ``DifferenceTable`` can also be built and read on its own: ``total``,
+``best_cell`` and ``reconstruct`` read the final row's both-flags layer,
+the only layer the final row keeps.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ MAX_TABLE_BYTES = 2 << 30
 _MAX_CAP = MAX_TABLE_BYTES // 16 - 1
 assert -(2**31) + _MAX_CAP < 0
 
-# Stored cells of the full layout from which a table given a window is
-# clipped.  Measured on the tables of the three benchmark workloads (seed 5),
+# Stored cells of the full layout from which a table is clipped to its
+# window.  Measured on the tables of the three benchmark workloads (seed 5),
 # best of 5 builds each, median of clipped over full time per bin of stored
 # cells: +8% to +15% below 2**10, +1% to +5% from 2**10 to 2**15, then -4%
 # in [2**15, 2**16), -8% in [2**16, 2**17), -19% in [2**18, 2**19) and -25%
@@ -238,14 +237,14 @@ class DifferenceTable:
     the row's block for a far pass, and an add into the scratch and a
     maximum for a near pass.
 
-    `window=W` keeps only the cells that can still reach a final difference
-    in [-W, W]: row i keeps [offset - W - nsuf_i, offset + W + fsuf_i] of its
-    band, nsuf_i and fsuf_i summing the near and far weights of the later
-    rows whose near or far pass runs.  Cells outside a window read as
-    unoccupied, in every row.  The window is applied only when the full
-    layout stores at least _CLIP_MIN_CELLS cells, below which clipping
-    costs more than it saves.  It is exact for the answer when W comes
-    from a pair the table represents (see _greedy_pair), because:
+    A table whose full layout stores at least _CLIP_MIN_CELLS cells (below
+    that, clipping costs more than it saves) derives a window W from its
+    greedy pair (see _window) and keeps only the cells that can still reach
+    a final difference in [-W, W]: row i keeps [offset - W - nsuf_i,
+    offset + W + fsuf_i] of its band, nsuf_i and fsuf_i summing the near and
+    far weights of the later rows whose near or far pass runs.  Cells
+    outside the window read as unoccupied, in every row.  The window is
+    exact for the answer because:
 
     1. every predecessor of a kept cell is kept (a carry keeps the column,
        and a row's far or near pass moves it by the weight it adds to
@@ -268,7 +267,7 @@ class DifferenceTable:
     moves to c, plus the near weight the pass adds equals S.  The counter
     gets the cells actually touched.  The memory a table needs is
     predicted from the full bands and live sets before anything is
-    allocated, window or not, and a table over MAX_TABLE_BYTES is refused;
+    allocated, clipped or not, and a table over MAX_TABLE_BYTES is refused;
     the scratch of a full table alone bounds an admitted table's cap at
     134,217,727.
     """
@@ -280,13 +279,9 @@ class DifferenceTable:
         near: int,
         pivot_weight: int,
         counter: OpCounter | None = None,
-        *,
-        window: int | None = None,
     ):
         if pivot_weight < 1:
             raise ValueError("pivot weight must be >= 1")
-        if window is not None and window < 0:
-            raise ValueError("window must be >= 0")
         self.weights = tuple(weights)
         self.n = n
         self.near = near
@@ -304,8 +299,12 @@ class DifferenceTable:
             raise ValueError(
                 f"difference table needs {need} bytes, over the {MAX_TABLE_BYTES}-byte limit"
             )
-        if window is not None and sum(layout[1]) >= _CLIP_MIN_CELLS:
-            layout = self._clipped(layout, window)
+        # the gate admits only tables that store cells, and those hold a
+        # pivot-valued near weight and a heavy far one, as _greedy_pair needs
+        if sum(layout[1]) >= _CLIP_MIN_CELLS:
+            window = self._window()
+            if window is not None:
+                layout = self._clipped(layout, window)
         self._rows, sizes = layout
         self._fill(sizes, counter)
 
@@ -342,6 +341,12 @@ class DifferenceTable:
             rows.append((lo, hi, live, plan))
             sizes.append(len(live) * (hi - lo + 1))
         return rows, sizes
+
+    def _window(self) -> int | None:
+        """W = floor((hi - lo) * cap / lo) from the greedy pair's sums when its
+        ratio hi / lo is at most 2; None (no window) otherwise."""
+        hi, lo, _ = _greedy_pair(self.weights, self.n, self.near, self.pivot_weight)
+        return (hi - lo) * self.cap // lo if hi <= 2 * lo else None
 
     def _clipped(self, layout: tuple[list, list[int]], window: int) -> tuple[list, list[int]]:
         """The layout with each row's band cut to the columns that can still
@@ -426,19 +431,6 @@ class DifferenceTable:
         if layer not in layers or not lo <= col <= hi:
             return -1
         return max(int(self._blocks[row][layers.index(layer), col - lo]), -1)
-
-    def occupied(self, row: int, diff: int, has_pivot_value: bool, has_heavy: bool) -> bool:
-        """Whether the table keeps a pair at this cell.
-
-        A cell whose flags no later row can complete to both flags reads
-        unoccupied even when some pair reaches it, and so does a cell a
-        window cut off; in the final row only the both-flags layer can be
-        occupied.
-        """
-        col = self._column(diff)
-        if not 0 <= row <= self.n:
-            raise ValueError(f"row {row} out of range 0..{self.n}")
-        return self._cell(row, 2 * has_pivot_value | has_heavy, col) >= 0
 
     def total(self, diff: int) -> int | None:
         """Stored total of the final row's both-flags cell, the only layer
@@ -567,7 +559,7 @@ def _greedy_pair(
     the other bases in index order: each joins the lighter side, the near
     side only with a weight <= the pivot weight, when that does not widen
     the difference.  The pair is one DifferenceTable represents whenever
-    its ratio is at most 2 (see DifferenceTable, window).
+    its ratio is at most 2 (see DifferenceTable).
     """
     v, far = pivot_weight, n - near
     near_ws, far_ws = weights[near:near + n], weights[far:far + n]
@@ -597,20 +589,11 @@ def _solve_one_side(
     weights: Sequence[int], n: int, near: int, pivot_weight: int, counter: OpCounter | None
 ) -> tuple[int, int, tuple[frozenset[int], frozenset[int]]]:
     """Exact optimum among solutions whose pivot-valued set lies on `near`,
-    as (larger sum, smaller sum, sets).  A greedy pair of ratio at most 2
-    bounds the table's window (see DifferenceTable)."""
+    as (larger sum, smaller sum, sets)."""
     far = n - near
     if pivot_weight not in weights[near:near + n] or max(weights[far:far + n]) < pivot_weight:
         return _NO_PAIR
-    cap = sum(w for w in weights[near:near + n] if w <= pivot_weight)
-    window = None
-    # n + 1 rows of 4 layers and 3 * cap + 1 columns bound what a table
-    # stores; below the clipping gate the greedy pair would go unused
-    if 4 * (n + 1) * (3 * cap + 1) >= _CLIP_MIN_CELLS:
-        hi, lo, _ = _greedy_pair(weights, n, near, pivot_weight)
-        if hi <= 2 * lo:
-            window = (hi - lo) * cap // lo
-    table = DifferenceTable(weights, n, near, pivot_weight, counter, window=window)
+    table = DifferenceTable(weights, n, near, pivot_weight, counter)
     singleton = _heavy_singleton(table, counter)
     best = table.best_cell()
     if best is not None:
@@ -639,10 +622,12 @@ def exact_solver(
     `memo`, one dict for any calls, stores each side's answer under the
     weights as a tuple, then (near side, pivot weight): all a search reads,
     so a repeated side costs no cells.  Weights are validated first, in one
-    pass over their types (plain ints only), as (True, 1) == (1, 1).  When weights[:n] == weights[n:], a side whose twin
-    (the other near side, same pivot weight) is in the memo takes the twin's
-    answer with every index shifted by n, at no cells.  The pivot's side
-    stands unless the other is strictly better.
+    pass over their types (plain ints only), as (True, 1) == (1, 1).
+
+    When weights[:n] == weights[n:], a side whose twin (the other near side,
+    same pivot weight) is in the memo takes the twin's answer with every
+    index shifted by n, at no cells.  The pivot's side stands unless the
+    other is strictly better.
     """
     if len(weights) % 2 != 0 or not weights:
         raise ValueError("flattened weight list must have positive even length")

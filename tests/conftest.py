@@ -43,5 +43,12 @@ def dp_battery() -> list[list[tuple[int, int]]]:
     return [random_pairs(rng, rng.randint(1, 6), 12) for _ in range(60)]
 
 
+def occupied(table, row: int, diff: int, has_pivot_value: bool, has_heavy: bool) -> bool:
+    """Whether a DifferenceTable keeps a pair at this cell.  A cell whose
+    flags no later row can complete to both flags reads unoccupied even when
+    some pair reaches it, and so does a cell its window cut off."""
+    return table._cell(row, 2 * has_pivot_value | has_heavy, table._column(diff)) >= 0
+
+
 def as_instance(pairs: list[tuple[int, int]]) -> TwoSetInstance:
     return TwoSetInstance.from_pairs(pairs)

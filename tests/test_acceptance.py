@@ -34,7 +34,7 @@ from ssratio import (
     semi_restricted_optima_by_value,
 )
 from ssratio.cli import main as cli_main
-from conftest import GUARANTEE_EPSILONS, random_pairs
+from conftest import GUARANTEE_EPSILONS, occupied, random_pairs
 from scaling_checks import check_optimum_scaling, check_pivot_inequalities
 
 
@@ -212,7 +212,7 @@ def test_criterion_4_dp_structure(dp_battery):
                 for col in range(table.width):
                     diff = col - table.offset
                     for hp, hh in product((False, True), repeat=2):
-                        if not table.occupied(n, diff, hp, hh):
+                        if not occupied(table, n, diff, hp, hh):
                             continue
                         assert -2 * table.cap <= diff <= table.cap
                         assert (hp, hh) == (True, True)  # the final row keeps both flags only

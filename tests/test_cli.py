@@ -20,7 +20,6 @@ from ssratio.cli import (
     build_parser,
     build_solution_doc,
     main,
-    random_two_set,
     verify_solution,
 )
 
@@ -155,6 +154,15 @@ class TestInputErrors:
     def test_usage_error_exits_one(self, capsys):
         code, _, _ = run(capsys, "solve")
         assert code == 1
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # timing lives in perfbench/ and quality against the oracle in
+        # demos/approximation_quality.py; `bench` is a usage error
+        code, out, err = run(capsys, "bench", "--sizes", "3", "--epsilons", "1e-8")
+        assert code == 1 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "'bench'" in errors[0], err
+        assert "Traceback" not in err
 
     def test_parser_built_once(self, worked_two_set, capsys):
         assert build_parser() is build_parser()
@@ -473,58 +481,3 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
-
-
-class TestBench:
-    def test_row_count_and_header(self, tmp_path, capsys):
-        csv_path = tmp_path / "bench.csv"
-        code = main([
-            "bench", "--sizes", "4,6", "--epsilons", "0.5", "--trials", "3",
-            "--seed", "7", "--csv", str(csv_path),
-        ])
-        assert code == 0
-        lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == 1 + 6
-        assert lines[0].startswith("n,epsilon,trial,optimum")
-
-    def test_rows_respect_guarantee_and_determinism(self, tmp_path):
-        args = ["bench", "--sizes", "3,5", "--epsilons", "0.5,0.1", "--trials", "2", "--seed", "3"]
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        assert main(args + ["--csv", str(first)]) == 0
-        assert main(args + ["--csv", str(second)]) == 0
-
-        def stable(path):
-            rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-            return [row[:-1] for row in rows]  # drop wall_time_ms
-
-        assert stable(first) == stable(second)
-        for row in stable(first)[1:]:
-            _, eps_str, _, opt, value, ratio_to_opt = row[:6]
-            if opt and opt != "inf":
-                eps = Fraction(eps_str)
-                assert Fraction(1) <= Fraction(value) <= (1 + eps) * Fraction(opt)
-                assert float(ratio_to_opt) >= 1.0
-
-    def test_infeasible_size_row(self, capsys):
-        code, out, _ = run(capsys, "bench", "--sizes", "1", "--trials", "1")
-        assert code == 0
-        row = out.strip().splitlines()[1].split(",")
-        # n = 1 has no feasible pair: optimum and value inf, no ratio_to_optimum
-        assert row[:6] == ["1", "1/2", "0", "inf", "inf", ""]
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--weight-max", "0"), ("--trials", "0"), ("--trials", "-3"), ("--oracle-cap", "-1"),
-        ("--epsilons", "1e-8"),  # solvable only with a table over MAX_TABLE_BYTES
-    ])
-    def test_bad_counts_exit_cleanly(self, capsys, flag, value):
-        code, out, err = run(capsys, "bench", "--sizes", "3", flag, value)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "Traceback" not in err
-
-    def test_generator_is_seeded(self):
-        a = random_two_set(5, 11, 0, 50)
-        b = random_two_set(5, 11, 0, 50)
-        c = random_two_set(5, 12, 0, 50)
-        assert a == b and a != c

@@ -273,9 +273,9 @@ class TestSideCache:
         built = []
 
         class Recording(semi_restricted.DifferenceTable):
-            def __init__(self, weights, n, near, pivot_weight, counter=None, *, window=None):
+            def __init__(self, weights, n, near, pivot_weight, counter=None):
                 built.append((tuple(weights), near, pivot_weight))
-                super().__init__(weights, n, near, pivot_weight, counter, window=window)
+                super().__init__(weights, n, near, pivot_weight, counter)
 
         monkeypatch.setattr(semi_restricted, "DifferenceTable", Recording)
         eps = Fraction(1, 4)
@@ -307,9 +307,9 @@ class TestSideCache:
         built = []
 
         class Recording(semi_restricted.DifferenceTable):
-            def __init__(self, weights, n, near, pivot_weight, counter=None, *, window=None):
+            def __init__(self, weights, n, near, pivot_weight, counter=None):
                 built.append((tuple(weights), near, pivot_weight))
-                super().__init__(weights, n, near, pivot_weight, counter, window=window)
+                super().__init__(weights, n, near, pivot_weight, counter)
 
         monkeypatch.setattr(semi_restricted, "DifferenceTable", Recording)
         inst = encode_factor_r_weights([46, 24, 44, 37], Fraction(5, 4))

@@ -40,7 +40,7 @@ from ssratio.semi_restricted import (
     _row_plan,
     _solve_one_side,
 )
-from conftest import random_pairs
+from conftest import occupied, random_pairs
 
 
 def flat(pairs):
@@ -432,7 +432,7 @@ class TestDifferenceTable:
                 diff = col - table.offset
                 for hp in (False, True):
                     for hh in (False, True):
-                        if table.occupied(n, diff, hp, hh):
+                        if occupied(table, n, diff, hp, hh):
                             got[(diff, hp, hh)] = table.total(diff)
             assert got == want, (weights, n, near, v)
 
@@ -448,7 +448,7 @@ class TestDifferenceTable:
                     diff = col - table.offset
                     for hp in (False, True):
                         for hh in (False, True):
-                            got = table.occupied(row, diff, hp, hh)
+                            got = occupied(table, row, diff, hp, hh)
                             assert got == ((diff, hp, hh) in want), (weights, near, v, row, diff)
 
     def test_reconstruction_discipline(self, dp_battery):
@@ -460,7 +460,7 @@ class TestDifferenceTable:
                 diff = col - table.offset
                 for hp in (False, True):
                     for hh in (False, True):
-                        if table.occupied(n, diff, hp, hh):
+                        if occupied(table, n, diff, hp, hh):
                             assert (hp, hh) == (True, True)
                             s1, s2 = table.reconstruct(diff)
                             assert -2 * table.cap <= diff <= table.cap
@@ -472,13 +472,11 @@ class TestDifferenceTable:
         assert table.total(2) is None
         with pytest.raises(ValueError):
             table.reconstruct(2)
-        assert table.occupied(1, 5, True, False)
+        assert occupied(table, 1, 5, True, False)
 
     def test_window_bounds_raise_outside(self):
         table = DifferenceTable((5, 3, 4, 6), 2, 0, 5)
         for diff in (table.cap + 1, -2 * table.cap - 1):
-            with pytest.raises(ValueError):
-                table.occupied(2, diff, True, True)
             with pytest.raises(ValueError):
                 table.total(diff)
             with pytest.raises(ValueError):
@@ -666,7 +664,7 @@ class TestPackedKernel:
         met = {"live": set(), "ties": 0, "zeros": 0, "fell_off": 0}
         for weights, n, near, v in self.instances():
             counter = OpCounter()
-            table = DifferenceTable(weights, n, near, v, counter)
+            table = full_table(weights, n, near, v, counter)
             codes, totals, ops, seen = reference_fill(weights, n, near, v)
             where = (weights, n, near, v)
             assert counter.cells == ops, where
@@ -732,9 +730,9 @@ class TestPackedKernel:
             n = len(weights) // 2
             table = DifferenceTable(weights, n, 0, v)
             codes, totals, _, _ = reference_fill(weights, n, 0, v)
-            occupied = np.nonzero(totals[-1, 3] >= 0)[0]
-            assert occupied.size, weights
-            for col in occupied:
+            cols = np.nonzero(totals[-1, 3] >= 0)[0]
+            assert cols.size, weights
+            for col in cols:
                 diff = int(col) - table.offset
                 expected = reference_backtrack(codes, weights, n, 0, table.offset, diff)
                 assert table.reconstruct(diff) == expected, (weights, diff)
@@ -861,13 +859,21 @@ def workload_sides(seed):
                     yield scaled, n, near, v
 
 
-def greedy_window(weights, n, near, v):
-    """The window _solve_one_side gives a side's table, or None."""
-    hi, lo, _ = _greedy_pair(weights, n, near, v)
-    if not hi <= 2 * lo:
-        return None
-    cap = sum(w for w in weights[near:near + n] if w <= v)
-    return (hi - lo) * cap // lo
+def full_table(*args):
+    """A DifferenceTable that keeps its full layout: no table reaches the
+    clipping gate."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semi_restricted, "_CLIP_MIN_CELLS", math.inf)
+        return DifferenceTable(*args)
+
+
+def clipped_table(window, *args, gate=0):
+    """A DifferenceTable whose derived window is replaced by `window` (None:
+    no window), clipped when its full layout stores at least `gate` cells."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semi_restricted, "_CLIP_MIN_CELLS", gate)
+        patch.setattr(DifferenceTable, "_window", lambda self: window)
+        return DifferenceTable(*args)
 
 
 def side_by_rule(table):
@@ -893,17 +899,18 @@ def assert_kept_cells_match(clipped, full, where):
 
 class TestWindow:
     def test_clipped_tables_give_the_full_answer(self, monkeypatch):
-        # every window, also under the gate: the same best cell, pair and
-        # side answer as the full table, and the full table's sums in every
-        # kept cell, on the benchmark's shapes and the hard ssr families
+        # every derived window, also under the gate: the same best cell,
+        # pair and side answer as the full table, and the full table's sums
+        # in every kept cell, on the benchmark's shapes and the hard ssr
+        # families
         monkeypatch.setattr(semi_restricted, "_CLIP_MIN_CELLS", 0)
         clipped_cells = full_cells = windows = 0
         for weights, n, near, v in chain(workload_sides(11), workload_sides(12)):
             where = (weights, near, v)
-            window = greedy_window(weights, n, near, v)
             full_counter, counter = OpCounter(), OpCounter()
-            full = DifferenceTable(weights, n, near, v, full_counter)
-            clipped = DifferenceTable(weights, n, near, v, counter, window=window)
+            full = full_table(weights, n, near, v, full_counter)
+            window = full._window()
+            clipped = DifferenceTable(weights, n, near, v, counter)
             assert clipped.best_cell() == full.best_cell(), where
             answer = side_by_rule(full)
             assert side_by_rule(clipped) == answer, where
@@ -915,26 +922,27 @@ class TestWindow:
         assert windows > 50 and clipped_cells < full_cells / 2, (windows, clipped_cells, full_cells)
 
     def test_side_searches_clip_what_the_gate_admits(self):
-        # a side search counts the cells of its table under the greedy
-        # window, plus the heavy-singleton scan: it skips the greedy pair
-        # only for tables the gate would not clip anyway
+        # a side search counts the cells of its table, clipped to the
+        # derived window exactly when the gate admits its full layout, plus
+        # the heavy-singleton scan
         clipped = 0
         for weights, n, near, v in chain(workload_sides(14), TestPackedKernel().instances()):
             if max(weights[n - near:2 * n - near]) < v:
                 continue  # no heavy far element: no table
+            full = full_table(weights, n, near, v)
+            window = full._window() if sum(full._bands()[1]) >= _CLIP_MIN_CELLS else None
             counter, want = OpCounter(), OpCounter()
             _solve_one_side(weights, n, near, v, counter)
-            table = DifferenceTable(weights, n, near, v, want, window=greedy_window(weights, n, near, v))
+            table = clipped_table(window, weights, n, near, v, want)
             _heavy_singleton(table, want)
             assert counter.cells == want.cells, (weights, near, v)
-            clipped += table._rows != DifferenceTable(weights, n, near, v)._rows
+            clipped += table._rows != full._rows
         assert clipped > 10
 
-    def test_clipped_small_tables_match_the_full_table(self, monkeypatch):
-        # seeded small tables, every window from 0 up to the greedy one: each
-        # kept cell holds the full table's sum, and at or above the greedy
-        # window the answer is the full table's
-        monkeypatch.setattr(semi_restricted, "_CLIP_MIN_CELLS", 0)
+    def test_clipped_small_tables_match_the_full_table(self):
+        # seeded small tables, every window from 0 up to the derived one:
+        # each kept cell holds the full table's sum, and at or above the
+        # derived window the answer is the full table's
         rng = random.Random(0x3D0E)
         checked = 0
         for _ in range(300):
@@ -945,10 +953,10 @@ class TestWindow:
             if not values:
                 continue
             v = rng.choice(values)
-            full = DifferenceTable(weights, n, near, v)
-            greedy = greedy_window(weights, n, near, v)
+            full = full_table(weights, n, near, v)
+            greedy = full._window()
             for window in range(0, (greedy or 3) + 2):
-                clipped = DifferenceTable(weights, n, near, v, window=window)
+                clipped = clipped_table(window, weights, n, near, v)
                 assert_kept_cells_match(clipped, full, (weights, near, v, window))
                 if greedy is not None and window >= greedy:
                     assert side_by_rule(clipped) == side_by_rule(full), (weights, near, v, window)
@@ -993,7 +1001,7 @@ class TestWindow:
             table = DifferenceTable(weights, n, near, v)
             diff = sum(weights[i - 1] for i in s1) - sum(weights[j - 1] for j in s2)
             assert table.total(diff) is not None and table.total(diff) >= hi + lo, where
-            window = greedy_window(weights, n, near, v)
+            window = table._window()
             best = table.best_cell()
             assert abs(best[0]) <= window, where
             for col in range(table.width):
@@ -1009,8 +1017,9 @@ class TestWindow:
         # exactly |d|; the far weight 3 is no heavy singleton (cap 3)
         monkeypatch.setattr(semi_restricted, "_CLIP_MIN_CELLS", 0)
         weights = (1, 2, 3, 2)
-        assert greedy_window(weights, 2, 0, 2) == 1
-        assert DifferenceTable(weights, 2, 0, 2).best_cell() == (-1, 5)
+        table = DifferenceTable(weights, 2, 0, 2)
+        assert table._window() == 1
+        assert table.best_cell() == (-1, 5)
         assert _solve_one_side(weights, 2, 0, 2, None) == (3, 2, (frozenset({2}), frozenset({3})))
 
     def test_tables_under_the_gate_keep_their_bands(self):
@@ -1020,16 +1029,16 @@ class TestWindow:
             pairs = random_pairs(rng, rng.randint(1, 8), 40)
             weights, n = flat(pairs), len(pairs)
             full_counter, counter = OpCounter(), OpCounter()
-            full = DifferenceTable(weights, n, 0, weights[0], full_counter)
-            windowed = DifferenceTable(weights, n, 0, weights[0], counter, window=0)
+            full = full_table(weights, n, 0, weights[0], full_counter)
+            windowed = clipped_table(0, weights, n, 0, weights[0], counter, gate=_CLIP_MIN_CELLS)
             assert sum(full._bands()[1]) < _CLIP_MIN_CELLS
             assert windowed._rows == full._rows and counter.cells == full_counter.cells
             small += 1
         # and one above it is clipped
         for weights, n, near, v in workload_sides(13):
-            full = DifferenceTable(weights, n, near, v)
+            full = full_table(weights, n, near, v)
             if sum(full._bands()[1]) >= _CLIP_MIN_CELLS:
-                clipped = DifferenceTable(weights, n, near, v, window=0)
+                clipped = clipped_table(0, weights, n, near, v, gate=_CLIP_MIN_CELLS)
                 assert clipped._rows != full._rows
                 large += 1
                 break
@@ -1040,7 +1049,7 @@ class TestWindow:
         scaled = scale_instance(flat([(1, 5), (5, 5), (5, 5)]), 1, Fraction(1, 10**7))
         for window in (None, 0):
             with pytest.raises(ValueError, match="bytes, over the"):
-                DifferenceTable(scaled, 3, 0, scaled[0], window=window)
+                clipped_table(window, scaled, 3, 0, scaled[0])
 
 
 class TestRegimesAgree:
