@@ -24,7 +24,8 @@ import time
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .core import SolutionPair, TwoSetInstance, check_feasible_semi_restricted, parse_rational
+from .core import (SolutionPair, TwoSetInstance, check_feasible_semi_restricted,
+                   common_denominator, parse_rational)
 from . import oracle as oracle_mod
 from .fptas import fptas_solve
 from .reductions import decode, encode_factor_r_weights, encode_ssr_weights
@@ -57,22 +58,27 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+class _Literal(str):
+    """A JSON number with a fraction or exponent, kept exactly as written."""
+    __repr__ = str.__str__
+
+
 def _positive_rational(raw: Any, what: str) -> Fraction:
     try:
-        value = parse_rational(raw)
+        value = Fraction(raw) if type(raw) is int else parse_rational(raw)
     except ValueError as exc:
         raise CliError(f"malformed instance file: {exc}") from exc
-    if value <= 0:
+    if value.numerator <= 0:
         raise CliError(f"{what} must be positive, got {raw!r}")
     return value
 
 
-def _read_json(path: str, what: str) -> dict[str, Any]:
+def _read_json(path: str, what: str, parse_float: Any = None) -> dict[str, Any]:
     """The JSON object in a file; unreadable, undecodable, invalid or too
     deeply nested input becomes one CliError naming the `what` file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=parse_float)
     except OSError as exc:
         raise CliError(f"cannot read {what} file: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 errors
@@ -84,7 +90,7 @@ def _read_json(path: str, what: str) -> dict[str, Any]:
 
 def load_instance(path: str) -> dict[str, Any]:
     """Parse and validate an instance file into a normalized dict."""
-    doc = _read_json(path, "instance")
+    doc = _read_json(path, "instance", parse_float=_Literal)
     if type(doc.get("format")) is not int or doc["format"] != FORMAT_VERSION:
         raise CliError(f"malformed instance file: expected \"format\": {FORMAT_VERSION}")
     problem = doc.get("problem")
@@ -290,7 +296,9 @@ def _is_index(value: Any, count: int) -> bool:
 
 def _field_problems(doc: dict[str, Any], want: dict[str, Any]) -> list[str]:
     """One line per top-level field whose JSON differs from `want`, fields
-    present on only one side included."""
+    present on only one side included; none when the whole texts match."""
+    if json.dumps(doc) == json.dumps(want):
+        return []
     got, expected = ({k: json.dumps(v) for k, v in d.items()} for d in (doc, want))
     return [f"{k} is {got.get(k, 'absent')}, expected {expected.get(k, 'absent')}"
             for k in dict.fromkeys([*want, *doc]) if got.get(k) != expected.get(k)]
@@ -354,12 +362,13 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     if _is_index(pivot_used, 2 * n):
         # pivot claim in the pivot's scaled weights: flooring can merge
         # distinct original weights, so the claim on original weights fails
-        # for some correct outputs.  Floors are monotone, so the smaller
-        # set maximum's floor is the smaller of the two sets' scaled maxima
-        w, eps = encoded.weights, options["epsilon"]
-        delta = eps * w[pivot_used - 1] / (3 * 2 * n)
+        # for some correct outputs.  Floors are monotone, so the smaller set
+        # maximum's floor is the smaller of the two sets' scaled maxima.  On
+        # the integer numerators, v // delta is scale_instance's v * q // p
+        (_, w), eps = common_denominator(encoded.weights), options["epsilon"]
+        p, q = eps.numerator * w[pivot_used - 1], eps.denominator * 3 * 2 * n
         smaller_max = min(max(w[i - 1] for i in side) for side in (sol.s1, sol.s2))
-        if smaller_max // delta != w[pivot_used - 1] // delta:
+        if smaller_max * q // p != w[pivot_used - 1] * q // p:
             problems.append(f"the smaller set maximum does not scale to pivot {pivot_used}")
     return problems
 

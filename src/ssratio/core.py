@@ -2,10 +2,12 @@
 
 All weights, sums and ratio values are `fractions.Fraction` instances:
 solver logic never touches floating point, so comparisons and tie-handling
-are bit-exact.  "No solution" has the ratio `math.inf`: every Fraction
-compares below it exactly (Fraction does not convert itself to float for
-that comparison, so ratios past the float range stay exact), and it
-prints as "inf".  Instance indices are 1-based everywhere in the public
+are bit-exact.  Set sums, pair comparisons and `check`'s pivot claim are
+computed on the weights' integer numerators over their common denominator
+(`common_denominator`).  "No solution" has the ratio `math.inf`: every
+Fraction compares below it exactly (Fraction does not convert itself to
+float for that comparison, so ratios past the float range stay exact), and
+it prints as "inf".  Instance indices are 1-based everywhere in the public
 API; 0-based storage is an internal detail.
 
 A two-set instance consists of n weight pairs (a_i, b_i), flattened into a
@@ -28,6 +30,7 @@ __all__ = [
     "Fraction",
     "RationalLike",
     "parse_rational",
+    "common_denominator",
     "TwoSetInstance",
     "SolutionPair",
     "OpCounter",
@@ -64,11 +67,12 @@ def _check_index(i: int, count: int) -> None:
         raise ValueError(f"index {i!r} out of range 1..{count}")
 
 
-def _set_sum(indices: Iterable[int], weights: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for i in indices:
-        total += weights[i - 1]
-    return total
+def common_denominator(weights: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """The least common denominator of the weights, and each weight's
+    numerator over it: ratios and comparisons of sums carry over exactly."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    lcm = math.lcm(*[d for _, d in ratios])
+    return lcm, [p * (lcm // d) for p, d in ratios]
 
 
 @dataclass(frozen=True)
@@ -91,14 +95,12 @@ class TwoSetInstance:
         for w in self.weights:
             if not isinstance(w, Fraction):
                 raise ValueError("weights must be Fractions; use from_pairs")
-            if w <= 0:
+            if w.numerator <= 0:
                 raise ValueError("all weights must be strictly positive")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[RationalLike, RationalLike]]) -> "TwoSetInstance":
         listed = [(parse_rational(a), parse_rational(b)) for a, b in pairs]
-        if not listed:
-            raise ValueError("instance needs at least one pair")
         firsts = tuple(a for a, _ in listed)
         seconds = tuple(b for _, b in listed)
         return cls(len(listed), firsts + seconds)
@@ -138,12 +140,12 @@ class SolutionPair:
         s1: Iterable[int],
         s2: Iterable[int],
     ) -> "SolutionPair":
-        w = [parse_rational(v) for v in weights]
         a = frozenset(s1)
         b = frozenset(s2)
         for i in a | b:
-            _check_index(i, len(w))
-        return cls(a, b, _set_sum(a, w), _set_sum(b, w))
+            _check_index(i, len(weights))
+        sums = [common_denominator([parse_rational(weights[i - 1]) for i in s]) for s in (a, b)]
+        return cls(a, b, *[Fraction(sum(numerators), lcm) for lcm, numerators in sums])
 
     @property
     def is_empty(self) -> bool:
@@ -168,16 +170,10 @@ def check_feasible_two_set(sol: SolutionPair, n: int) -> bool:
         return False
     first = set(range(1, n + 1))
     second = set(range(n + 1, 2 * n + 1))
-    s1, s2 = set(sol.s1), set(sol.s2)
-    if not (s1 | s2) <= (first | second):
-        return False
-    if s1 & s2:
-        return False
+    s1, s2 = sol.s1, sol.s2
     if not ((s1 <= first and s2 <= second) or (s1 <= second and s2 <= first)):
         return False
-    bases1 = {(i - 1) % n for i in s1}
-    bases2 = {(j - 1) % n for j in s2}
-    return not bases1 & bases2
+    return not {(i - 1) % n for i in s1} & {(j - 1) % n for j in s2}
 
 
 def check_feasible_semi_restricted(sol: SolutionPair, inst: TwoSetInstance, m: int) -> bool:

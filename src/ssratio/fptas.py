@@ -32,6 +32,7 @@ from typing import Sequence
 
 from .core import (
     OpCounter,
+    common_denominator,
     parse_rational,
     RationalLike,
     SolutionPair,
@@ -148,10 +149,8 @@ def fptas_solve(
     weights = inst.weights
     count = 2 * inst.n
     ops = OpCounter()
-    # the original weights over their common denominator: a pair's ratio is
-    # the ratio of its integer sums, and they scale as the weights do
-    lcm = math.lcm(*(w.denominator for w in weights))
-    numerators = [w.numerator * (lcm // w.denominator) for w in weights]
+    # a pair's ratio is the ratio of its integer sums, which scale as the weights do
+    _, numerators = common_denominator(weights)
 
     best_sets = None
     best_hi, best_lo = 1, 0  # ratio inf: every pair's hi * 0 < 1 * lo

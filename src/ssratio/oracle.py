@@ -23,6 +23,7 @@ from .core import (
     RationalLike,
     SolutionPair,
     TwoSetInstance,
+    common_denominator,
     parse_rational,
 )
 
@@ -55,12 +56,6 @@ class OracleResult:
 def _check_cap(n: int, max_n: int) -> None:
     if n > max_n:
         raise ValueError(f"instance too large for brute force (n={n} > cap {max_n})")
-
-
-def _integer_weights(weights: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Rescale positive rationals to integers (objectives are scale-invariant)."""
-    scale = math.lcm(*(w.denominator for w in weights))
-    return [int(w * scale) for w in weights], scale
 
 
 class _Best:
@@ -105,7 +100,7 @@ def _two_set_states(inst: TwoSetInstance):
     indices 1..n, s2 draws n+1..2n, both in increasing order.
     """
     n = inst.n
-    w, _ = _integer_weights(inst.weights)
+    _, w = common_denominator(inst.weights)
     for assign in product((0, 1, 2), repeat=n):
         s1: list[int] = []
         s2: list[int] = []
@@ -160,7 +155,7 @@ def semi_restricted_optima_by_value(
     brute_force_semi_restricted reads its answer from this mapping.
     """
     _check_cap(inst.n, max_n)
-    _, scale = _integer_weights(inst.weights)
+    scale, _ = common_denominator(inst.weights)
     by_value: dict[int, _Best] = {}
     for s1, s2, sum1, sum2, max1, max2 in _two_set_states(inst):
         key = min(max1, max2)
@@ -200,7 +195,7 @@ def brute_force_factor_r(
         raise ValueError("weights must be strictly positive")
     n = len(parsed)
     _check_cap(n, max_n)
-    w, _ = _integer_weights(parsed)
+    _, w = common_denominator(parsed)
     p, q = factor.numerator, factor.denominator
     best = _Best()
     for assign in product((0, 1, 2), repeat=n):

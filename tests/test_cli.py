@@ -100,6 +100,19 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["ratio"] == "1"  # 3/4 == 1/2 + 1/4
 
+    def test_json_numbers_parse_as_written(self, tmp_path, capsys):
+        # too small, too large and too long for a float
+        cases = (("[2, 3, 1e-400]", None), ("[1e400, 3]", "1" + "0" * 400 + "/3"),
+                 ("[1.0000000000000000001, 1]", "10000000000000000001/1" + "0" * 19))
+        for weights, ratio in cases:
+            path = tmp_path / "inst.json"
+            path.write_text('{"format": 1, "problem": "ssr", "weights": %s}' % weights)
+            sol = str(tmp_path / "sol.json")
+            code, _, err = run(capsys, "solve", str(path), "--epsilon", "1/4", "--output", sol)
+            assert code == 0 and err == "", (weights, err)
+            assert ratio is None or json.loads(Path(sol).read_text())["ratio"] == ratio
+            assert run(capsys, "check", str(path), sol)[:2] == (0, "OK\n")
+
 
 class TestInputErrors:
     # invalid JSON, bytes that are not UTF-8, nesting deeper than the decoder recurses
@@ -133,11 +146,18 @@ class TestInputErrors:
             assert code == 1 and "epsilon out of range" in err
 
     def test_nonpositive_weights(self, tmp_path, capsys):
-        path = write_instance(
-            tmp_path, "neg.json", {"format": 1, "problem": "ssr", "weights": [3, -1]}
-        )
-        code, _, err = run(capsys, "solve", path, "--epsilon", "0.5")
-        assert code == 1 and "must be positive" in err
+        # JSON literals a weight or r may be written as; true is not 1, and a
+        # non-positive number is shown as written
+        path = tmp_path / "bad.json"
+        template = '{"format": 1, "problem": "factor-r", "weights": [3, %s], "r": %s}'
+        for literal in ("-1", "0", "-3", "-2.50E1", "-1e-400", "true", "false", "NaN", "Infinity"):
+            for text in (template % (literal, 2), template % (2, literal)):
+                path.write_text(text, encoding="utf-8")
+                code, out, err = run(capsys, "solve", str(path), "--epsilon", "0.5")
+                assert code == 1 and out == "" and err.count("\n") == 1, (text, err)
+                assert err.startswith("error: "), (text, err)
+                if literal[0] in "-0":
+                    assert err.endswith(f"must be positive, got {literal}\n"), (text, err)
 
     def test_missing_format_field(self, tmp_path, capsys):
         path = write_instance(tmp_path, "noformat.json", {"problem": "ssr", "weights": [1, 2]})
@@ -238,6 +258,11 @@ class TestCheck:
             assert code in (0, 2)
             code, out, _ = run(capsys, "check", inst, sol)
             assert code == 0 and out.strip() == "OK"
+            # the same fields in another order
+            doc = json.loads(Path(sol).read_text())
+            Path(sol).write_text(json.dumps(dict(reversed(doc.items()))))
+            code, out, _ = run(capsys, "check", inst, sol)
+            assert code == 0 and out.strip() == "OK"
 
     def test_tampered_ratio_fails(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")
@@ -246,7 +271,7 @@ class TestCheck:
         doc["ratio"] = "7/5"
         Path(sol).write_text(json.dumps(doc))
         code, _, err = run(capsys, "check", worked_two_set, sol)
-        assert code == 1 and "ratio" in err
+        assert code == 1 and err == 'check failed: ratio is "7/5", expected "6/5"\n'
 
     def test_tampered_sets_fail(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")

@@ -167,3 +167,27 @@ def test_scaling_leaves_ratios_unchanged(data, c):
     w, (s1, s2) = data
     scaled = [c * v for v in w]
     assert SolutionPair.from_sets(w, s1, s2).value() == SolutionPair.from_sets(scaled, s1, s2).value()
+
+
+@given(
+    st.lists(st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 12)),
+             min_size=1, max_size=8),
+    st.data(),
+)
+def test_set_sums_equal_fraction_sums(weights, data):
+    # from_sets adds integers over a common denominator; the reference adds
+    # Fractions left to right, one of them past the float range
+    w = list(weights)
+    w.insert(data.draw(st.integers(0, len(w))), "1e400")
+    roles = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(w), max_size=len(w)))
+    s1, s2 = ([i for i, role in enumerate(roles, 1) if role == side] for side in (1, 2))
+    assume(s1 and s2)
+    pair = SolutionPair.from_sets(w, s1, s2)
+    sums = []
+    for side in (s1, s2):
+        total = Fraction(0)
+        for i in side:
+            total += parse_rational(w[i - 1])
+        sums.append(total)
+    assert (pair.sum1, pair.sum2) == tuple(sums) and type(pair.sum1) is Fraction
+    assert pair.value() == max(sums) / min(sums)
