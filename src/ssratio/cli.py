@@ -38,11 +38,7 @@ EXIT_INFEASIBLE = 2
 
 
 class CliError(Exception):
-    """User-facing failure with a dedicated exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_INPUT_ERROR):
-        super().__init__(message)
-        self.code = code
+    """User-facing failure: one `error:` line and exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -454,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -56,6 +56,9 @@ def parse_rational(value: RationalLike) -> Fraction:
         return Fraction(str(value))
     if isinstance(value, str):
         try:
+            _, e, exponent = value.lower().rpartition("e")
+            if e and abs(int(exponent)) > 4300:  # Fraction builds 10**exponent; int's digit cap
+                raise ValueError("decimal exponent beyond 4300")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational value: {value!r}") from exc

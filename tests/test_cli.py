@@ -146,11 +146,13 @@ class TestInputErrors:
             assert code == 1 and "epsilon out of range" in err
 
     def test_nonpositive_weights(self, tmp_path, capsys):
-        # JSON literals a weight or r may be written as; true is not 1, and a
-        # non-positive number is shown as written
+        # JSON literals a weight or r may be written as; true is not 1, a
+        # non-positive number is shown as written, and a decimal exponent past
+        # 4300 is refused before 10**exponent is built
         path = tmp_path / "bad.json"
         template = '{"format": 1, "problem": "factor-r", "weights": [3, %s], "r": %s}'
-        for literal in ("-1", "0", "-3", "-2.50E1", "-1e-400", "true", "false", "NaN", "Infinity"):
+        for literal in ("-1", "0", "-3", "-2.50E1", "-1e-400", "true", "false", "NaN", "Infinity",
+                        "1e999999999", '"1e-4301"'):
             for text in (template % (literal, 2), template % (2, literal)):
                 path.write_text(text, encoding="utf-8")
                 code, out, err = run(capsys, "solve", str(path), "--epsilon", "0.5")
