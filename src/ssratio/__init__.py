@@ -3,17 +3,16 @@
 Exact pseudo-polynomial solver for the pivoted two-set ratio problem, a
 generic FPTAS driver on top of it, reductions that route the plain and
 factor-r variants through the same engine, and brute-force oracles for
-verification.  All solver arithmetic is exact-rational.
+verification.  All arithmetic is exact, on fractions.Fraction values.
 
 One entry per concept: scale_instance (one pivot's scaled weights),
-exact_solver (one pivot), fptas_solve (two-set), encode_ssr_weights/
-encode_factor_r_weights and decode (source problems).  DifferenceTable is
-exported for inspecting one side search's table; the scaling-lemma
+exact_solver (one pivot), fptas_solve (two-set), encode_*_weights and
+decode (source problems), brute_force_factor_r (the SSR oracle at r = 1).
+DifferenceTable inspects one side search's table; the scaling-lemma
 checkers are test code (tests/scaling_checks.py), not package API.
 """
 
 from .core import (
-    Fraction,
     OpCounter,
     SolutionPair,
     TwoSetInstance,
@@ -26,7 +25,6 @@ from .oracle import (
     OracleResult,
     brute_force_factor_r,
     brute_force_semi_restricted,
-    brute_force_ssr,
     brute_force_two_set,
     semi_restricted_optima_by_value,
 )
@@ -51,7 +49,6 @@ from .reductions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Fraction",
     "OpCounter",
     "SolutionPair",
     "TwoSetInstance",
@@ -62,7 +59,6 @@ __all__ = [
     "OracleResult",
     "brute_force_factor_r",
     "brute_force_semi_restricted",
-    "brute_force_ssr",
     "brute_force_two_set",
     "semi_restricted_optima_by_value",
     "DifferenceTable",

@@ -132,6 +132,14 @@ def _encode(instance: dict[str, Any]) -> TwoSetInstance:
 # ---------------------------------------------------------------------------
 
 
+def _exact_text(value: Fraction | float) -> str:
+    """str(value); past Python's digit limit for printing an int, a CliError."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise CliError(f"cannot print a value of over {sys.get_int_max_str_digits()} digits") from exc
+
+
 def _ratio_decimal(ratio: Fraction) -> float | None:
     """Display value of an exact ratio; None when it exceeds float range."""
     try:
@@ -150,7 +158,7 @@ def _present_sets(instance: dict[str, Any], sol: SolutionPair) -> dict[str, Any]
         fields["s1_side"] = ("a" if max(sol.s1) <= n else "b") if sol.s1 else None
         fields["s2_side"] = ("a" if max(sol.s2) <= n else "b") if sol.s2 else None
     elif problem == "factor-r":
-        fields["r"] = str(instance["r"])
+        fields["r"] = _exact_text(instance["r"])
         fields["r_multiplied"] = decoded.r_multiplied
     return fields
 
@@ -175,14 +183,14 @@ def build_solution_doc(
         "status": status,
     }
     doc.update(_present_sets(instance, sol))
-    doc["sum1"] = str(sol.sum1)
-    doc["sum2"] = str(sol.sum2)
-    doc["ratio"] = str(value)
+    doc["sum1"] = _exact_text(sol.sum1)
+    doc["sum2"] = _exact_text(sol.sum2)
+    doc["ratio"] = _exact_text(value)
     doc["ratio_decimal"] = _ratio_decimal(value) if value != math.inf else None
     if mode == "fptas":
         assert epsilon is not None
-        doc["epsilon"] = str(epsilon)
-        doc["bound"] = str(1 + epsilon)
+        doc["epsilon"] = _exact_text(epsilon)
+        doc["bound"] = _exact_text(1 + epsilon)
         doc["pivot_used"] = pivot_used
     if pivot_m is not None:
         doc["pivot_m"] = pivot_m
@@ -227,7 +235,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         result = fptas_solve(encoded, eps, collect_log=args.trace)
     except ValueError as exc:  # a table too large to build (a tiny epsilon)
-        raise CliError(f"cannot solve at epsilon {eps}: {exc}") from exc
+        raise CliError(f"cannot solve at epsilon {_exact_text(eps)}: {exc}") from exc
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     stats: dict[str, Any] = {
         "pivots_evaluated": result.pivots_evaluated,
@@ -240,8 +248,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         trace = [
             {
                 "m": entry.m,
-                "scaled_value": str(entry.scaled_value),
-                "original_value": str(entry.original_value),
+                "scaled_value": _exact_text(entry.scaled_value),
+                "original_value": _exact_text(entry.original_value),
             }
             for entry in result.per_pivot_log
         ]

@@ -27,7 +27,6 @@ from typing import Iterable, Sequence, Union
 RationalLike = Union[int, str, float, Fraction]
 
 __all__ = [
-    "Fraction",
     "RationalLike",
     "parse_rational",
     "common_denominator",
@@ -201,6 +200,3 @@ class OpCounter:
 
     def __init__(self) -> None:
         self.cells = 0
-
-    def add(self, amount: int) -> None:
-        self.cells += amount

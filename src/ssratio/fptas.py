@@ -143,9 +143,7 @@ def fptas_solve(
     only when every pivot does.  `dp_cell_ops` sums the exact solver's
     cell operations.  Deterministic.
     """
-    eps = parse_rational(epsilon)
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
+    eps = parse_rational(epsilon)  # scale_instance checks its range
     weights = inst.weights
     count = 2 * inst.n
     ops = OpCounter()

@@ -33,7 +33,6 @@ __all__ = [
     "brute_force_two_set",
     "brute_force_semi_restricted",
     "semi_restricted_optima_by_value",
-    "brute_force_ssr",
     "brute_force_factor_r",
 ]
 
@@ -81,13 +80,9 @@ class _Best:
         if better:
             self.hi, self.lo, self.s1, self.s2 = hi, lo, s1, s2
 
-    @property
-    def found(self) -> bool:
-        return self.lo != 0
-
 
 def _result(best: _Best, weights: Sequence[RationalLike]) -> OracleResult:
-    if not best.found:
+    if best.lo == 0:  # nothing offered
         return OracleResult(None, math.inf)
     pair = SolutionPair.from_sets(weights, best.s1, best.s2)
     return OracleResult(pair, Fraction(best.hi, best.lo))
@@ -169,12 +164,6 @@ def semi_restricted_optima_by_value(
     }
 
 
-def brute_force_ssr(weights: Sequence[RationalLike], max_n: int = DEFAULT_SIZE_CAP) -> OracleResult:
-    """Exact optimum of the plain subset-sum ratio problem: the factor-r
-    enumeration with r = 1, independent of the two-set encoding."""
-    return brute_force_factor_r(weights, 1, max_n)
-
-
 def brute_force_factor_r(
     weights: Sequence[RationalLike],
     r: RationalLike,
@@ -185,7 +174,8 @@ def brute_force_factor_r(
     The first set's sum is multiplied by r >= 1 before taking the
     larger-over-smaller ratio; roles are ordered, so assignments cover
     (s1, s2) and (s2, s1) separately.  The returned pair's cached sums are
-    the plain (unscaled) weight sums.
+    the plain (unscaled) weight sums.  With r = 1 this is the plain SSR
+    oracle, independent of the two-set encoding.
     """
     factor = parse_rational(r)
     if factor < 1:

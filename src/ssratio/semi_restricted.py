@@ -113,7 +113,7 @@ def _heavy_singleton(
     v, cap = table.pivot_weight, table.cap
     near_ws, far_ws = table.near_weights, table.far_weights
     if counter is not None:
-        counter.add(sum(w >= v for w in far_ws))
+        counter.cells += sum(w >= v for w in far_ws)
     exact = near_ws.count(v)
     best_num = best_den = 0
     best_base = None
@@ -141,6 +141,11 @@ def _sum_dtype(cap: int) -> type:
     cell, the dtype's minimum, stays negative after gaining near weights
     that add up to at most cap."""
     return np.int16 if cap < 2**15 else np.int32
+
+
+def _cells(rows: Sequence[tuple]) -> int:
+    """Stored cells of the rows: each keeps (live layers) x (band) cells."""
+    return sum(len(live) * (hi - lo + 1) for lo, hi, live, _ in rows)
 
 
 def _as_slice(positions: Sequence[int]) -> slice:
@@ -293,25 +298,25 @@ class DifferenceTable:
         self.cap = sum(w for w in self.near_weights if w <= pivot_weight)
         self.offset = 2 * self.cap
         self.width = 3 * self.cap + 1
-        layout = self._bands()
-        need = self._predicted_bytes(layout)
+        rows = self._bands()
+        need = self._predicted_bytes(rows)
         if need > MAX_TABLE_BYTES:
             raise ValueError(
                 f"difference table needs {need} bytes, over the {MAX_TABLE_BYTES}-byte limit"
             )
         # the gate admits only tables that store cells, and those hold a
         # pivot-valued near weight and a heavy far one, as _greedy_pair needs
-        if sum(layout[1]) >= _CLIP_MIN_CELLS:
+        if _cells(rows) >= _CLIP_MIN_CELLS:
             window = self._window()
             if window is not None:
-                layout = self._clipped(layout, window)
-        self._rows, sizes = layout
-        self._fill(sizes, counter)
+                rows = self._clipped(rows, window)
+        self._rows = rows
+        self._fill(counter)
 
-    def _bands(self) -> tuple[list[tuple[int, int, tuple[int, ...], _RowPlan | None]], list[int]]:
+    def _bands(self) -> list[tuple[int, int, tuple[int, ...], _RowPlan | None]]:
         """Rows 0..n: first and last live column, each band containing the
         last; the flag layers the row keeps, ascending; and the row's plan
-        (None for row 0).  Also each row's stored cell count."""
+        (None for row 0)."""
         near_ws, far_ws, v = self.near_weights, self.far_weights, self.pivot_weight
         # later[i]: the flag bits rows after row i can still set; a layer s
         # of row i can reach the answer layer 3 only while s | later[i] == 3
@@ -323,7 +328,6 @@ class DifferenceTable:
         lo = hi = self.offset
         live = (0,) if bits == 3 else ()
         rows = [(lo, hi, live, None)]
-        sizes = [len(live)]
         for near_w, far_w, bits in zip(near_ws, far_ws, later[1:]):
             # far-set extension: difference shifts down by far_w; writes below
             # -2*cap fall off the window (they cannot belong to an optimal
@@ -339,8 +343,7 @@ class DifferenceTable:
             plan = _row_plan(live, far_bit, near_bit, bits)
             live = plan.after
             rows.append((lo, hi, live, plan))
-            sizes.append(len(live) * (hi - lo + 1))
-        return rows, sizes
+        return rows
 
     def _window(self) -> int | None:
         """W = floor((hi - lo) * cap / lo) from the greedy pair's sums when its
@@ -348,49 +351,46 @@ class DifferenceTable:
         hi, lo, _ = _greedy_pair(self.weights, self.n, self.near, self.pivot_weight)
         return (hi - lo) * self.cap // lo if hi <= 2 * lo else None
 
-    def _clipped(self, layout: tuple[list, list[int]], window: int) -> tuple[list, list[int]]:
-        """The layout with each row's band cut to the columns that can still
-        reach a final difference in [-window, window]."""
-        rows, sizes = layout
-        rows, sizes = rows[:], sizes[:]
+    def _clipped(self, rows: list, window: int) -> list:
+        """The rows with each band cut to the columns that can still reach a
+        final difference in [-window, window]."""
+        rows = rows[:]
         v = self.pivot_weight
         low, high = self.offset - window, self.offset + window
         for i in range(self.n, 0, -1):
             lo, hi, live, plan = rows[i]
             lo, hi = (lo if lo > low else low), (hi if hi < high else high)
             rows[i] = lo, hi, live, plan
-            sizes[i] = len(live) * (hi - lo + 1)
             near_w, far_w = self.near_weights[i - 1], self.far_weights[i - 1]
             if 0 < near_w <= v:  # the row's near pass runs
                 low -= near_w
             if 0 < far_w <= rows[i - 1][1]:  # its far pass runs
                 high += far_w
-        return rows, sizes
+        return rows
 
-    def _predicted_bytes(self, layout: tuple[list, list[int]]) -> int:
+    def _predicted_bytes(self, rows: list) -> int:
         """Bytes of the store and the scratch."""
-        rows, sizes = layout
         lo, hi = rows[-1][:2]  # the widest band
-        return np.dtype(_sum_dtype(self.cap)).itemsize * (sum(sizes) + 4 * (hi - lo + 1))
+        return np.dtype(_sum_dtype(self.cap)).itemsize * (_cells(rows) + 4 * (hi - lo + 1))
 
-    def _fill(self, sizes: list[int], counter: OpCounter | None) -> None:
+    def _fill(self, counter: OpCounter | None) -> None:
         rows = self._rows
         dtype = _sum_dtype(self.cap)
-        store = np.full(sum(sizes), np.iinfo(dtype).min, dtype=dtype)
+        store = np.full(_cells(rows), np.iinfo(dtype).min, dtype=dtype)
         # a clipped final row need not be the widest
         z = np.empty((4, max([hi - lo for lo, hi, _, _ in rows]) + 1), dtype=dtype)
         maximum, add = np.maximum, np.add
         lo0, hi0, _, _ = rows[0]
-        x = store[:sizes[0]].reshape(-1, 1)
+        start = _cells(rows[:1])
+        x = store[:start].reshape(-1, 1)
         x[:, 0] = 0  # the empty pair, if kept
         blocks = [x]
-        start = sizes[0]
         ops = 0
-        for (lo, hi, _, plan), size, near_w, far_w in zip(
-            rows[1:], sizes[1:], self.near_weights, self.far_weights
+        for (lo, hi, live, plan), near_w, far_w in zip(
+            rows[1:], self.near_weights, self.far_weights
         ):
-            y = store[start:start + size].reshape(-1, hi - lo + 1)
-            start += size
+            y = store[start:start + len(live) * (hi - lo + 1)].reshape(-1, hi - lo + 1)
+            start += y.size
             blocks.append(y)
             for kind, _, layers, src, tgt in plan.passes:
                 # the pass moves column c of row i - 1 to column c + shift,
@@ -414,7 +414,7 @@ class DifferenceTable:
         self._blocks = blocks
         ops += hi0 - lo0 + 1  # final scan
         if counter is not None:
-            counter.add(ops)
+            counter.cells += ops
 
     # -- inspection ---------------------------------------------------------
 

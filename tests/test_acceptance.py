@@ -22,7 +22,6 @@ from ssratio import (
     SolutionPair,
     TwoSetInstance,
     brute_force_factor_r,
-    brute_force_ssr,
     brute_force_two_set,
     check_feasible_semi_restricted,
     encode_factor_r_weights,
@@ -238,7 +237,7 @@ def test_criterion_5_reduction_equivalence():
         ssr_checked = 0
         for _ in range(200):
             weights = [rng.randint(1, 30) for _ in range(rng.randint(1, 8))]
-            direct = brute_force_ssr(weights)
+            direct = brute_force_factor_r(weights, 1)
             encoded = brute_force_two_set(encode_ssr_weights(weights))
             assert direct.optimum == encoded.optimum, weights
             ssr_checked += 1

@@ -15,7 +15,6 @@ def test_public_names_are_pinned():
         "DEFAULT_SIZE_CAP",
         "DecodedSolution",
         "DifferenceTable",
-        "Fraction",
         "OpCounter",
         "OracleResult",
         "PivotLog",
@@ -23,7 +22,6 @@ def test_public_names_are_pinned():
         "TwoSetInstance",
         "brute_force_factor_r",
         "brute_force_semi_restricted",
-        "brute_force_ssr",
         "brute_force_two_set",
         "check_feasible_semi_restricted",
         "check_feasible_two_set",

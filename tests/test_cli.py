@@ -115,8 +115,9 @@ class TestSolve:
 
 
 class TestInputErrors:
-    # invalid JSON, bytes that are not UTF-8, nesting deeper than the decoder recurses
-    MALFORMED = (b"{not json", b"\xff\xfe", b"[" * 200000 + b"]" * 200000)
+    # invalid JSON, bytes that are not UTF-8, nesting deeper than the decoder
+    # recurses, a top level that is not an object
+    MALFORMED = (b"{not json", b"\xff\xfe", b"[" * 200000 + b"]" * 200000, b"[1, 2]")
 
     def test_malformed_json(self, worked_two_set, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -127,6 +128,65 @@ class TestInputErrors:
                 code, out, err = run(capsys, *argv)
                 assert code == 1 and out == ""
                 assert err.startswith(f"error: malformed {what} file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"problem": "knapsack", "weights": [1, 2]}, "problem must be ssr, two-set or factor-r"),
+        ({"problem": "two-set", "pairs": [[1, 2]], "weights": [1, 2]},
+         'two-set needs a nonempty "pairs" list'),
+        ({"problem": "two-set"}, 'two-set needs a nonempty "pairs" list'),
+        ({"problem": "two-set", "pairs": [[1, 2, 3]]}, "each pair must be a 2-element list"),
+        ({"problem": "ssr", "weights": []}, 'ssr needs a nonempty "weights" list'),
+        ({"problem": "ssr", "weights": [1, 2], "pairs": [[1, 2]]},
+         'ssr needs a nonempty "weights" list'),
+        ({"problem": "factor-r", "weights": [1, 2]}, 'factor-r needs "r"'),
+    ], ids=["unknown-problem", "two-set-with-weights", "two-set-without-pairs", "three-element-pair",
+            "ssr-without-weights", "ssr-with-pairs", "factor-r-without-r"])
+    def test_malformed_instance_fields(self, tmp_path, capsys, fields, message):
+        path = write_instance(tmp_path, "bad.json", {"format": 1, **fields})
+        for argv in (["solve", path, "--epsilon", "0.5"], ["oracle", path]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: malformed instance file: {message}\n")
+
+    def test_unusable_files_and_r_below_one(self, worked_two_set, tmp_path, capsys):
+        doc = {"format": 1, "problem": "factor-r", "weights": [1, 2], "r": "1/2"}
+        small_r = write_instance(tmp_path, "r.json", doc)
+        cases = [
+            (["solve", str(tmp_path / "missing.json"), "--epsilon", "0.5"],
+             "error: cannot read instance file: "),
+            (["oracle", worked_two_set, "--output", str(tmp_path / "no" / "dir.json")],
+             "error: cannot write output file: "),
+            (["solve", small_r, "--epsilon", "0.5"], "error: factor r must be >= 1\n"),
+        ]
+        for argv, prefix in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and err.count("\n") == 1, (argv, err)
+            assert err.startswith(prefix), (argv, err)
+
+    def test_values_past_the_digit_limit_exit_cleanly(self, tmp_path, capsys):
+        # Python refuses to print an int of more than 4300 digits: here a sum
+        # of 1.8e4300 or 1e4300, r = 9e4300 or epsilon = 1e-4300
+        def path(name, **fields):
+            return write_instance(tmp_path, f"{name}.json", {"format": 1, **fields})
+
+        ssr = path("ssr", problem="ssr", weights=["9e4299", "9e4299", "1.8e4300"])
+        split = path("split", problem="ssr", weights=["1e4300", "6e4299", "4e4299"])
+        factor = path("factor", problem="factor-r", weights=[1, 2, 3], r="9e4300")
+        small = path("small", problem="ssr", weights=[1, 2, 3])
+        one = path("one", problem="two-set", pairs=[[1, 1]])
+        output = tmp_path / "out.json"
+        for argv in (
+            ["solve", ssr, "--epsilon", "1/2"],
+            ["solve", ssr, "--epsilon", "1/2", "--trace"],
+            ["oracle", split],
+            ["solve", split, "--epsilon", "1/2"],
+            ["solve", factor, "--epsilon", "1/2"],
+            ["solve", small, "--epsilon", "1e-4300"],
+            ["solve", one, "--epsilon", "1e-4300", "--output", str(output)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err == "error: cannot print a value of over 4300 digits\n", (argv, err)
+        assert not output.exists()
 
     def test_deep_field_in_solution_fails_cleanly(self, worked_two_set, tmp_path, capsys):
         # nesting that the decoder accepts can still be too deep for `check` to re-encode

@@ -94,6 +94,9 @@ class TestFeasibility:
         sol = SolutionPair.from_sets(inst.weights, {1}, {4})
         assert check_feasible_semi_restricted(sol, inst, 1)
         assert not check_feasible_semi_restricted(sol, inst, 4)
+        # base 1 on both sides: not a two-set solution at any pivot
+        conflict = SolutionPair.from_sets(inst.weights, {1}, {3})
+        assert not check_feasible_semi_restricted(conflict, inst, 1)
 
     def test_semi_restricted_equal_weight_substitute(self):
         inst = TwoSetInstance.from_pairs([(2, 100), (2, 1)])
@@ -113,6 +116,12 @@ class TestInstances:
             TwoSetInstance.from_pairs([(0, 1)])
         with pytest.raises(ValueError):
             TwoSetInstance.from_pairs([])
+
+    def test_direct_construction_is_validated(self):
+        with pytest.raises(ValueError, match="expected 4 weights, got 1"):
+            TwoSetInstance(2, (Fraction(1),))
+        with pytest.raises(ValueError, match="weights must be Fractions"):
+            TwoSetInstance(1, (1, 2))
 
     def test_solution_pair_validation(self):
         with pytest.raises(ValueError):

@@ -153,8 +153,13 @@ class TestDriver:
 
     def test_epsilon_validation(self):
         inst = TwoSetInstance.from_pairs([(1, 1)])
-        with pytest.raises(ValueError):
-            fptas_solve(inst, Fraction(3, 2))
+        for eps in (Fraction(3, 2), 1, 0):
+            with pytest.raises(ValueError, match="epsilon must lie strictly between 0 and 1"):
+                fptas_solve(inst, eps)
+
+    def test_scaled_value_of_a_zero_sum_set_is_inf(self):
+        assert scaled_pair_value((0, 3), frozenset({1}), frozenset({2})) == math.inf
+        assert scaled_pair_value((2, 3), frozenset({1}), frozenset({2})) == Fraction(3, 2)
 
     def test_per_pivot_log(self):
         inst = TwoSetInstance.from_pairs([(5, 4), (3, 6)])

@@ -13,7 +13,6 @@ from ssratio import (
     TwoSetInstance,
     brute_force_factor_r,
     brute_force_semi_restricted,
-    brute_force_ssr,
     brute_force_two_set,
     check_feasible_semi_restricted,
     check_feasible_two_set,
@@ -149,24 +148,18 @@ class TestStructuralProperties:
 
 class TestSourceProblems:
     def test_ssr_examples(self):
-        assert brute_force_ssr([1, 2, 3]).optimum == 1
-        assert brute_force_ssr([2, 2]).optimum == 1
-        assert brute_force_ssr([1]).best is None
+        assert brute_force_factor_r([1, 2, 3], 1).optimum == 1
+        assert brute_force_factor_r([2, 2], 1).optimum == 1
+        assert brute_force_factor_r([1], 1).best is None
 
     def test_ssr_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            brute_force_ssr([0, 1])
+            brute_force_factor_r([0, 1], 1)
 
     def test_factor_r_examples(self):
         res = brute_force_factor_r([1, 1], 2)
         assert res.optimum == 2
         assert brute_force_factor_r([1, 2], 2).optimum == 1
-
-    def test_factor_one_matches_ssr(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            weights = [rng.randint(1, 20) for _ in range(rng.randint(1, 6))]
-            assert brute_force_factor_r(weights, 1).optimum == brute_force_ssr(weights).optimum
 
     def test_factor_r_rejects_small_r(self):
         with pytest.raises(ValueError):

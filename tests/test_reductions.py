@@ -11,7 +11,6 @@ from ssratio import (
     SolutionPair,
     TwoSetInstance,
     brute_force_factor_r,
-    brute_force_ssr,
     brute_force_two_set,
     decode,
     encode_factor_r_weights,
@@ -31,7 +30,7 @@ class TestEncode:
     def test_ssr_single_weight_infeasible_both_ways(self):
         enc = encode_ssr_weights([1])
         assert brute_force_two_set(enc).best is None
-        assert brute_force_ssr([1]).best is None
+        assert brute_force_factor_r([1], 1).best is None
 
     def test_factor_r_weights(self):
         enc = encode_factor_r_weights([1, 1], 2)
@@ -92,7 +91,7 @@ class TestEquivalence:
         rng = random.Random(61)
         for _ in range(60):
             weights = [rng.randint(1, 30) for _ in range(rng.randint(1, 7))]
-            direct = brute_force_ssr(weights)
+            direct = brute_force_factor_r(weights, 1)
             encoded = brute_force_two_set(encode_ssr_weights(weights))
             assert direct.optimum == encoded.optimum
 

@@ -35,6 +35,7 @@ from ssratio.semi_restricted import (
     _CLIP_MIN_CELLS,
     _FAR,
     _NEAR,
+    _cells,
     _greedy_pair,
     _heavy_singleton,
     _row_plan,
@@ -195,6 +196,8 @@ class TestSolve:
             exact_solver([1, 2, 3, 4], 5)  # pivot out of range
         with pytest.raises(ValueError):
             exact_solver([1, Fraction(1, 2)], 1)  # non-integer weight
+        with pytest.raises(ValueError, match="pivot weight must be >= 1"):
+            DifferenceTable((1, 2, 3, 4), 2, 0, pivot_weight=0)
 
     def test_oversized_table_refused_before_allocation(self, monkeypatch):
         # pivot 1 of [[1,5],[5,5],[5,5]] at epsilon 1e-7 scales to cap 1.8e8
@@ -930,7 +933,7 @@ class TestWindow:
             if max(weights[n - near:2 * n - near]) < v:
                 continue  # no heavy far element: no table
             full = full_table(weights, n, near, v)
-            window = full._window() if sum(full._bands()[1]) >= _CLIP_MIN_CELLS else None
+            window = full._window() if _cells(full._bands()) >= _CLIP_MIN_CELLS else None
             counter, want = OpCounter(), OpCounter()
             _solve_one_side(weights, n, near, v, counter)
             table = clipped_table(window, weights, n, near, v, want)
@@ -1031,13 +1034,13 @@ class TestWindow:
             full_counter, counter = OpCounter(), OpCounter()
             full = full_table(weights, n, 0, weights[0], full_counter)
             windowed = clipped_table(0, weights, n, 0, weights[0], counter, gate=_CLIP_MIN_CELLS)
-            assert sum(full._bands()[1]) < _CLIP_MIN_CELLS
+            assert _cells(full._bands()) < _CLIP_MIN_CELLS
             assert windowed._rows == full._rows and counter.cells == full_counter.cells
             small += 1
         # and one above it is clipped
         for weights, n, near, v in workload_sides(13):
             full = full_table(weights, n, near, v)
-            if sum(full._bands()[1]) >= _CLIP_MIN_CELLS:
+            if _cells(full._bands()) >= _CLIP_MIN_CELLS:
                 clipped = clipped_table(0, weights, n, near, v, gate=_CLIP_MIN_CELLS)
                 assert clipped._rows != full._rows
                 large += 1
