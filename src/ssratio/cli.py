@@ -7,8 +7,10 @@ input/usage error, 2 infeasible instance.
 
 Solution files are self-certifying: `check` rebuilds a file from its
 stated sets and the instance through the same writer `solve` and
-`oracle` use, requires the file to match it field for field, and checks
-the pivot claims on the encoded weights.  Outputs are byte-deterministic;
+`oracle` use, with s1 on either side of the encoding.  Each orientation's
+whole rebuilt text is compared with the file first; only when neither
+matches is the file compared field for field.  The pivot claims are
+checked on the encoded weights.  Outputs are byte-deterministic;
 wall-clock timing is included only with --timings because it would break
 that.
 """
@@ -27,7 +29,7 @@ from typing import Any, Sequence
 from .core import (SolutionPair, TwoSetInstance, check_feasible_semi_restricted,
                    common_denominator, parse_rational)
 from . import oracle as oracle_mod
-from .fptas import fptas_solve
+from .fptas import _delta, fptas_solve
 from .reductions import decode, encode_factor_r_weights, encode_ssr_weights
 
 FORMAT_VERSION = 1
@@ -85,7 +87,8 @@ def _read_json(path: str, what: str, parse_float: Any = None) -> dict[str, Any]:
 
 
 def load_instance(path: str) -> dict[str, Any]:
-    """Parse and validate an instance file into a normalized dict."""
+    """Parse and validate an instance file into a normalized dict whose
+    "encoded" entry is the two-set instance every command works on."""
     doc = _read_json(path, "instance", parse_float=_Literal)
     if type(doc.get("format")) is not int or doc["format"] != FORMAT_VERSION:
         raise CliError(f"malformed instance file: expected \"format\": {FORMAT_VERSION}")
@@ -102,12 +105,12 @@ def load_instance(path: str) -> dict[str, Any]:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise CliError("malformed instance file: each pair must be a 2-element list")
             parsed.append((_positive_rational(entry[0], "weight"), _positive_rational(entry[1], "weight")))
-        out["pairs"] = parsed
+        out["encoded"] = TwoSetInstance.from_pairs(parsed)
     else:
         weights = doc.get("weights")
         if "pairs" in doc or not isinstance(weights, list) or not weights:
             raise CliError(f"malformed instance file: {problem} needs a nonempty \"weights\" list")
-        out["weights"] = [_positive_rational(v, "weight") for v in weights]
+        parsed = [_positive_rational(v, "weight") for v in weights]
         if problem == "factor-r":
             if "r" not in doc:
                 raise CliError("malformed instance file: factor-r needs \"r\"")
@@ -115,16 +118,10 @@ def load_instance(path: str) -> dict[str, Any]:
             if r < 1:
                 raise CliError("factor r must be >= 1")
             out["r"] = r
+            out["encoded"] = encode_factor_r_weights(parsed, r)
+        else:
+            out["encoded"] = encode_ssr_weights(parsed)
     return out
-
-
-def _encode(instance: dict[str, Any]) -> TwoSetInstance:
-    problem = instance["problem"]
-    if problem == "two-set":
-        return TwoSetInstance.from_pairs(instance["pairs"])
-    if problem == "ssr":
-        return encode_ssr_weights(instance["weights"])
-    return encode_factor_r_weights(instance["weights"], instance["r"])
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +147,7 @@ def _ratio_decimal(ratio: Fraction) -> float | None:
 
 def _present_sets(instance: dict[str, Any], sol: SolutionPair) -> dict[str, Any]:
     """Base-index set presentation plus side labels where they apply."""
-    problem = instance["problem"]
-    n = len(instance["pairs" if problem == "two-set" else "weights"])
+    problem, n = instance["problem"], instance["encoded"].n
     decoded = decode(sol, problem, n)
     fields: dict[str, Any] = {"s1": sorted(decoded.s1), "s2": sorted(decoded.s2)}
     if problem == "two-set":
@@ -230,10 +226,9 @@ def _parse_epsilon(raw: str) -> Fraction:
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     eps = _parse_epsilon(args.epsilon)
-    encoded = _encode(instance)
     started = time.perf_counter()
     try:
-        result = fptas_solve(encoded, eps, collect_log=args.trace)
+        result = fptas_solve(instance["encoded"], eps, collect_log=args.trace)
     except ValueError as exc:  # a table too large to build (a tiny epsilon)
         raise CliError(f"cannot solve at epsilon {_exact_text(eps)}: {exc}") from exc
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -274,7 +269,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
-    encoded = _encode(instance)
+    encoded = instance["encoded"]
     try:
         if args.m is not None:
             result = oracle_mod.brute_force_semi_restricted(encoded, args.m, max_n=args.max_n)
@@ -300,9 +295,7 @@ def _is_index(value: Any, count: int) -> bool:
 
 def _field_problems(doc: dict[str, Any], want: dict[str, Any]) -> list[str]:
     """One line per top-level field whose JSON differs from `want`, fields
-    present on only one side included; none when the whole texts match."""
-    if json.dumps(doc) == json.dumps(want):
-        return []
+    present on only one side included."""
     got, expected = ({k: json.dumps(v) for k, v in d.items()} for d in (doc, want))
     return [f"{k} is {got.get(k, 'absent')}, expected {expected.get(k, 'absent')}"
             for k in dict.fromkeys([*want, *doc]) if got.get(k) != expected.get(k)]
@@ -321,7 +314,7 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
     mode = doc.get("mode")
     if mode not in ("fptas", "oracle"):
         return ["mode must be fptas or oracle"]
-    encoded = _encode(instance)
+    encoded = instance["encoded"]
     n = encoded.n
     problems = _stats_problems(doc.get("stats"), mode, 2 * n)
     s1, s2 = doc.get("s1"), doc.get("s2")
@@ -348,17 +341,18 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
         problems.append(f"pivot_m must be an integer in 1..{2 * n}")
 
     status = "infeasible" if not s1 else "approximate" if mode == "fptas" else "optimal"
-    best: tuple[SolutionPair, list[str]] | None = None
+    rebuilt = []
     for first, second in ((0, n), (n, 0)):  # s1 drawn from the first side, then the second
         sol = SolutionPair.from_sets(encoded.weights, [i + first for i in s1],
                                      [j + second for j in s2])
-        diffs = _field_problems(doc, build_solution_doc(instance, sol, mode, status, **options))
-        if best is None or len(diffs) < len(best[1]):
-            best = sol, diffs
-        if not diffs:
+        want = build_solution_doc(instance, sol, mode, status, **options)
+        if json.dumps(doc) == json.dumps(want):
             break
-    sol, diffs = best
-    problems += diffs
+        rebuilt.append((sol, want))
+    else:  # neither matches: the orientation with fewer differing fields, the first on a tie
+        sol, diffs = min(((sol, _field_problems(doc, want)) for sol, want in rebuilt),
+                         key=lambda found: len(found[1]))
+        problems += diffs
     if sol.is_empty:
         return problems
     if _is_index(pivot_m, 2 * n) and not check_feasible_semi_restricted(sol, encoded, pivot_m):
@@ -367,10 +361,10 @@ def verify_solution(instance: dict[str, Any], doc: dict[str, Any]) -> list[str]:
         # pivot claim in the pivot's scaled weights: flooring can merge
         # distinct original weights, so the claim on original weights fails
         # for some correct outputs.  Floors are monotone, so the smaller set
-        # maximum's floor is the smaller of the two sets' scaled maxima.  On
-        # the integer numerators, v // delta is scale_instance's v * q // p
-        (_, w), eps = common_denominator(encoded.weights), options["epsilon"]
-        p, q = eps.numerator * w[pivot_used - 1], eps.denominator * 3 * 2 * n
+        # maximum's floor is the smaller of the two sets' scaled maxima,
+        # floored on the integer numerators as scale_instance floors them
+        _, w = common_denominator(encoded.weights)
+        p, q = _delta(options["epsilon"], w[pivot_used - 1], 2 * n)
         smaller_max = min(max(w[i - 1] for i in side) for side in (sol.s1, sol.s2))
         if smaller_max * q // p != w[pivot_used - 1] * q // p:
             problems.append(f"the smaller set maximum does not scale to pivot {pivot_used}")

@@ -27,9 +27,7 @@ from typing import Iterable, Sequence, Union
 RationalLike = Union[int, str, float, Fraction]
 
 __all__ = [
-    "RationalLike",
     "parse_rational",
-    "common_denominator",
     "TwoSetInstance",
     "SolutionPair",
     "OpCounter",
@@ -130,6 +128,8 @@ class SolutionPair:
             raise ValueError("solution sets must be disjoint")
         if bool(self.s1) != bool(self.s2):
             raise ValueError("solution sets must be both empty or both nonempty")
+        if self.s1 and min(self.sum1, self.sum2) <= 0:
+            raise ValueError("a nonempty pair needs positive sums; build it with from_sets")
 
     @classmethod
     def empty(cls) -> "SolutionPair":

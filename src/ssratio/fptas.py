@@ -75,12 +75,16 @@ def scale_instance(
     if not 0 < eps < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     count = len(w)
-    pivot = w[m - 1]
-    p = eps.numerator * pivot.numerator
-    q = eps.denominator * pivot.denominator * 3 * count
+    p, q = _delta(eps, w[m - 1], count)
     scaled = tuple([v.numerator * q // (v.denominator * p) for v in w])
     assert scaled[m - 1] == 3 * count * eps.denominator // eps.numerator >= 3 * count
     return scaled
+
+
+def _delta(eps: Fraction, pivot: Fraction | int, count: int) -> tuple[int, int]:
+    """delta = eps * pivot / (3 * count) as (p, q), delta = p/q unreduced:
+    a weight a/b scales to floor((a * q) / (b * p))."""
+    return eps.numerator * pivot.numerator, eps.denominator * pivot.denominator * 3 * count
 
 
 @dataclass(frozen=True)

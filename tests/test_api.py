@@ -7,6 +7,9 @@ or removing a name means editing this list on purpose.
 from __future__ import annotations
 
 import ssratio
+from ssratio import core, fptas, oracle, reductions, semi_restricted
+
+MODULES = (core, fptas, oracle, reductions, semi_restricted)
 
 
 def test_public_names_are_pinned():
@@ -36,3 +39,13 @@ def test_public_names_are_pinned():
         "semi_restricted_optima_by_value",
     ]
     assert all(hasattr(ssratio, name) for name in ssratio.__all__)
+
+
+def test_module_export_lists_make_up_the_package_list():
+    # each module's __all__ is the one statement of its public names
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert set(names) == set(ssratio.__all__)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(ssratio, name) is getattr(module, name), (module.__name__, name)

@@ -13,10 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssratio import fptas_solve, scale_instance
+from ssratio import (
+    TwoSetInstance,
+    encode_factor_r_weights,
+    encode_ssr_weights,
+    fptas_solve,
+    scale_instance,
+)
+from ssratio import cli
 from ssratio.cli import (
     _emit,
-    _encode,
     build_parser,
     build_solution_doc,
     main,
@@ -326,6 +332,21 @@ class TestCheck:
             code, out, _ = run(capsys, "check", inst, sol)
             assert code == 0 and out.strip() == "OK"
 
+    def test_second_orientation_builds_no_field_lines(self, tmp_path, capsys, monkeypatch):
+        # the answer lies on side b, so only the second orientation's whole
+        # text matches; per-field lines are built only when neither does
+        inst = write_instance(tmp_path, "b.json",
+                              {"format": 1, "problem": "two-set", "pairs": [[4, 5], [6, 3]]})
+        sol = str(tmp_path / "b.sol.json")
+        assert run(capsys, "solve", inst, "--epsilon", "1/4", "--output", sol)[0] == 0
+        assert json.loads(Path(sol).read_text())["s1_side"] == "b"
+
+        def refuse(doc, want):
+            raise AssertionError("per-field lines built for a matching file")
+
+        monkeypatch.setattr(cli, "_field_problems", refuse)
+        assert run(capsys, "check", inst, sol) == (0, "OK\n", "")
+
     def test_tampered_ratio_fails(self, worked_two_set, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")
         run(capsys, "solve", worked_two_set, "--epsilon", "0.5", "--output", sol)
@@ -504,20 +525,22 @@ class TestCheck:
         instances = [
             # at epsilon 9/10, 100 and 101 floor alike at pivot 100 (delta
             # 7.5), and 40 and 41 at pivot 41 (delta 3.075)
-            {"problem": "ssr", "weights": [Fraction(100), Fraction(101), Fraction(201)]},
-            {"problem": "two-set", "pairs": [(Fraction(40), Fraction(41)), (Fraction(81), Fraction(1))]},
+            {"problem": "ssr", "encoded": encode_ssr_weights([100, 101, 201])},
+            {"problem": "two-set", "encoded": TwoSetInstance.from_pairs([(40, 41), (81, 1)])},
         ]
         for _ in range(12):
             n = rng.randint(2, 6)
             weights = [Fraction(rng.randint(1, 60), rng.randint(1, 4)) for _ in range(2 * n)]
-            instances.append({"problem": "two-set", "pairs": list(zip(weights[:n], weights[n:]))})
-            instances.append({"problem": "ssr", "weights": weights[:n]})
+            instances.append({"problem": "two-set",
+                              "encoded": TwoSetInstance.from_pairs(zip(weights[:n], weights[n:]))})
+            instances.append({"problem": "ssr", "encoded": encode_ssr_weights(weights[:n])})
             for r in (Fraction(1), Fraction(3, 2), Fraction(7, 3)):
-                instances.append({"problem": "factor-r", "weights": weights[n:], "r": r})
+                instances.append({"problem": "factor-r", "r": r,
+                                  "encoded": encode_factor_r_weights(weights[n:], r)})
         verdicts = {True: 0, False: 0}
         merged = 0
         for instance, eps in product(instances, (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))):
-            encoded = _encode(instance)
+            encoded = instance["encoded"]
             result = fptas_solve(encoded, eps)
             sol = result.solution
             if sol.is_empty:

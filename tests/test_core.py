@@ -133,6 +133,13 @@ class TestInstances:
         assert pair.value() == Fraction(3, 2)
         assert SolutionPair.empty().value() == math.inf
 
+    def test_nonempty_pair_needs_positive_sums(self):
+        # the default sums are 0, and value() would divide by the smaller one
+        with pytest.raises(ValueError, match="from_sets"):
+            SolutionPair(frozenset({1}), frozenset({2}))
+        with pytest.raises(ValueError, match="from_sets"):
+            SolutionPair(frozenset({1}), frozenset({2}), Fraction(3), Fraction(0))
+
 
 # --- property tests ---------------------------------------------------------
 
